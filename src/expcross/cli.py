@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import asdict
 from typing import Sequence
@@ -30,11 +31,25 @@ EXIT_USAGE = 64
 FORMATS = ("json", "csv", "plain")
 
 
+# Every negative literal float() accepts, so `--z -1e-10` reads as a value;
+# argparse's own matcher knows only -1 and -.5 and takes the rest for options.
+_DIGITS = r"\d(?:_?\d)*"
+_NEGATIVE_NUMBER = re.compile(
+    rf"-(?:(?:{_DIGITS}(?:\.(?:{_DIGITS})?)?|\.{_DIGITS})(?:e[-+]?{_DIGITS})?"
+    r"|inf(?:inity)?|nan)\s*\Z",
+    re.IGNORECASE,
+)
+
+
 class UsageError(Exception):
     """Command line is structurally valid for argparse but still malformed."""
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     # argparse exits 2 on bad flags; the contract reserves 2 for domain
     # errors and uses 64 for usage.
     def error(self, message: str) -> None:  # type: ignore[override]

@@ -39,7 +39,10 @@ def _grid(lo: float, hi: float, samples: int) -> list[float]:
 def _series(label: str, f, lo: float, hi: float, samples: int) -> list[CurveSample]:
     out = []
     for x in _grid(lo, hi, samples):
-        y = f(x)
+        try:
+            y = f(x)
+        except OverflowError:  # b**x past the float range: as unplottable as inf
+            continue
         if math.isfinite(y):
             out.append(CurveSample(x=x, y=y, series_label=label))
     return out

@@ -11,7 +11,9 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Union
+from itertools import repeat
+from operator import lt, sub, truediv
+from typing import Iterator, Union
 
 from .errors import DomainError
 
@@ -98,6 +100,14 @@ def scan_sign_changes(spec: ScalarFnSpec, lo: float, hi: float, n: int) -> list[
     Exact zeros at nodes yield degenerate [x, x] brackets and suppress the
     adjacent panels (their products are zero, not sign changes).  Panels
     touching a non-finite value are skipped; the skip count is logged.
+
+    The nodes are evaluated and searched in whole-list passes.  FullGap is
+    computed as b**x - log(x)/ln(b) with ln(b) taken once; if b**x overflows
+    at any node, every node falls back to spec(x).  Only the panels whose
+    ends differ in f < 0, the exact zeros and, when the sum of the values is
+    not finite, the non-finite nodes are then visited one by one, under the
+    rules above.  f_lo * f_hi < 0.0 stays the final test, so a sign change
+    whose product underflows to zero brackets nothing.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
         raise DomainError(f"scan interval needs lo < hi, got [{lo!r}, {hi!r}]")
@@ -108,26 +118,48 @@ def scan_sign_changes(spec: ScalarFnSpec, lo: float, hi: float, n: int) -> list[
 
     step = (hi - lo) / n
     xs = [lo + i * step for i in range(n)] + [hi]
-    fs = [spec(x) for x in xs]
+    fs = _values(spec, xs)
+
+    neg = bytes(map(lt, fs, repeat(0.0)))
+    candidates = [*_find_all(neg, b"\x00\x01"), *_find_all(neg, b"\x01\x00")]
+    if fs.count(0.0):
+        candidates += [i for i, f in enumerate(fs) if f == 0.0]
 
     brackets: list[RootBracket] = []
-    skipped = 0
-    for i in range(n + 1):
-        if not math.isfinite(fs[i]):
-            skipped += 1
-            continue
-        if fs[i] == 0.0:
+    for i in sorted(set(candidates)):
+        f_i = fs[i]
+        if f_i == 0.0:
             brackets.append(RootBracket(lo=xs[i], hi=xs[i], f_lo=0.0, f_hi=0.0))
             continue
-        if i == n:
-            continue
-        if not math.isfinite(fs[i + 1]) or fs[i + 1] == 0.0:
-            continue
-        if fs[i] * fs[i + 1] < 0.0:
-            brackets.append(RootBracket(lo=xs[i], hi=xs[i + 1], f_lo=fs[i], f_hi=fs[i + 1]))
+        f_j = fs[i + 1]
+        if math.isfinite(f_i) and math.isfinite(f_j) and f_j != 0.0 and f_i * f_j < 0.0:
+            brackets.append(RootBracket(lo=xs[i], hi=xs[i + 1], f_lo=f_i, f_hi=f_j))
+    skipped = 0 if math.isfinite(sum(fs)) else len(fs) - sum(map(math.isfinite, fs))
     if skipped:
         log.warning("scan_sign_changes: skipped %d node(s) with non-finite values", skipped)
     return brackets
+
+
+def _values(spec: ScalarFnSpec, xs: list[float]) -> list[float]:
+    """spec at every node; FullGap in one pass, bit-identical to spec(x)."""
+    if isinstance(spec, FullGap):
+        b, ln_b = spec.b, math.log(spec.b)
+        # Divide as spec(x) does: a product with 1/ln_b rounds differently.
+        try:
+            return list(
+                map(sub, map(pow, repeat(b), xs), map(truediv, map(math.log, xs), repeat(ln_b)))
+            )
+        except OverflowError:
+            pass
+    return list(map(spec, xs))
+
+
+def _find_all(data: bytes, pattern: bytes) -> Iterator[int]:
+    """Start of every occurrence of two distinct bytes (they cannot overlap)."""
+    i = data.find(pattern)
+    while i >= 0:
+        yield i
+        i = data.find(pattern, i + 1)
 
 
 def bisect(spec: ScalarFnSpec, bracket: RootBracket, abs_tol: float) -> float:

@@ -1,11 +1,19 @@
 import json
 import math
+import random
 import subprocess
 import sys
 
 import pytest
 
-from expcross.cli import EXIT_CONVERGENCE, EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
+from expcross.cli import (
+    _NEGATIVE_NUMBER,
+    EXIT_CONVERGENCE,
+    EXIT_DOMAIN,
+    EXIT_OK,
+    EXIT_USAGE,
+    main,
+)
 
 
 def run_cli(capsys, *argv):
@@ -53,6 +61,13 @@ class TestEvalCommand:
         _, out, _ = run_cli(capsys, "eval", "--z", "1", "--branch", "0")
         assert "w          " in out
         assert "branch     W0" in out
+
+    def test_negative_exponent_literal_is_a_value(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "eval", "--z", "-1e-10", "--branch", "-1", "--format", "json"
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["z"] == -1e-10
 
     def test_usage_errors_exit_64(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -169,6 +184,24 @@ class TestPlotCommand:
         assert code == EXIT_OK
         assert sum(ln.endswith(",point") for ln in out_path.read_text().splitlines()) == 2
 
+    def test_negative_exponent_x_min(self, capsys, tmp_path):
+        out_path = tmp_path / "custom.csv"
+        code, _, _ = run_cli(
+            capsys, "plot", "--figure", "custom", "--base", "1.3", "--x-min", "-1e-3",
+            "--out", str(out_path),
+        )
+        assert code == EXIT_OK
+        assert out_path.read_text().splitlines()[1].startswith("-0.001,")
+
+    def test_custom_plot_tiny_base(self, capsys, tmp_path):
+        # b**x overflows for the window's x < 0
+        out_path = tmp_path / "custom.csv"
+        code, out, _ = run_cli(
+            capsys, "plot", "--figure", "custom", "--base", "1e-200", "--out", str(out_path)
+        )
+        assert code == EXIT_OK
+        assert "wrote" in out
+
     def test_bad_figure_name_exits_64(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["plot", "--figure", "fig9", "--out", "/tmp/x.csv"])
@@ -212,3 +245,25 @@ class TestContracts:
             text=True,
         )
         assert proc.returncode == EXIT_DOMAIN
+
+
+def _parses_as_float(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def test_negative_number_matcher_agrees_with_float():
+    literals = [
+        "-1", "-1.", "-.5", "-1e-10", "-1E+5", "-1.e5", "-.5e-3", "-00.00e00", "-1_000.5",
+        "-1e1_0", "-inf", "-INF", "-Infinity", "-nan", "-NaN", "-1e5 ", "-\u0663",
+        "-", "-.", "-e5", "-.e5", "-1e", "-1e+", "-1__0", "-_1", "-1_", "-1_.5", "-1._5",
+        "-1e_10", "-infinit", "-nan1", "- 1", "-1 2", "-0x10", "-1j", "-1e5x",
+        "-h", "--z", "--x-min",
+    ]
+    rng = random.Random(64)
+    literals += [repr(-(10.0 ** rng.uniform(-320.0, 308.0))) for _ in range(500)]
+    for text in literals:
+        assert bool(_NEGATIVE_NUMBER.match(text)) == _parses_as_float(text), text

@@ -86,6 +86,12 @@ def test_custom_no_points_for_large_base():
     assert max(r.y for r in series_of(rows, "exp")) <= 1e6
 
 
+def test_custom_tiny_base_drops_overflowing_samples():
+    rows = custom_samples(1e-200)
+    assert series_of(rows, "exp")
+    assert all(math.isfinite(r.x) and math.isfinite(r.y) for r in rows)
+
+
 def test_custom_rejects_empty_window():
     with pytest.raises(DomainError):
         custom_samples(1.3, x_min=5.0, x_max=1.0)

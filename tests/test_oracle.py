@@ -2,6 +2,7 @@ import ast
 import logging
 import math
 import pathlib
+import random
 
 import pytest
 
@@ -20,6 +21,9 @@ from expcross.oracle import (
 
 # Regression value: this very routine at abs_tol 1e-12, frozen.
 NEAR_BRANCH_POINT_ROOT = -0.9976701662722007
+
+# bench/spans.py counts skipped nodes by parsing this record.
+SKIP_MSG = "scan_sign_changes: skipped %d node(s) with non-finite values"
 
 
 def test_module_is_structurally_independent():
@@ -180,3 +184,77 @@ def test_tangency_touch_is_invisible_to_sign_scan():
     # the gap still pinches to ~0 near x = e
     nodes = [2.0 + i * (4.0 - 2.0) / 2000 for i in range(2001)]
     assert min(abs(spec(x)) for x in nodes) <= 1e-6
+
+
+def _per_node_scan(spec, lo, hi, n):
+    """The scan as one Python loop over the nodes: (brackets, skipped)."""
+    step = (hi - lo) / n
+    xs = [lo + i * step for i in range(n)] + [hi]
+    fs = [spec(x) for x in xs]
+    brackets = []
+    skipped = 0
+    for i in range(n + 1):
+        if not math.isfinite(fs[i]):
+            skipped += 1
+            continue
+        if fs[i] == 0.0:
+            brackets.append((xs[i], xs[i], 0.0, 0.0))
+            continue
+        if i == n:
+            continue
+        if not math.isfinite(fs[i + 1]) or fs[i + 1] == 0.0:
+            continue
+        if fs[i] * fs[i + 1] < 0.0:
+            brackets.append((xs[i], xs[i + 1], fs[i], fs[i + 1]))
+    return brackets, skipped
+
+
+def _assert_scan_matches_per_node(caplog, spec, lo, hi, n):
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="expcross.oracle"):
+        got = scan_sign_changes(spec, lo, hi, n)
+    want, skipped = _per_node_scan(spec, lo, hi, n)
+    case = (spec, lo, hi, n)
+    # repr tells -0.0 from 0.0 and compares every bit of the floats
+    assert repr([(r.lo, r.hi, r.f_lo, r.f_hi) for r in got]) == repr(want), case
+    records = [(rec.msg, rec.args) for rec in caplog.records]
+    assert records == ([(SKIP_MSG, (skipped,))] if skipped else []), case
+    return len(want), skipped
+
+
+class TestScanBitIdentity:
+    def test_full_gap_bases_and_windows(self, caplog):
+        rng = random.Random(1703)
+        bases = [10.0 ** rng.uniform(-300.0, 300.0) for _ in range(24)]
+        bases += [1.0 + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-9.0, -6.0) for _ in range(8)]
+        bases += [rng.uniform(0.01, 3.0) for _ in range(8)]
+        bases += [0.05, 0.8, 1.3, TANGENT_BASE, 2.0, 1e10, 1e-300, 1.0 + 1e-7, 1.0 - 1e-7]
+        windows = [(1e-9, 50.0, 4000), (1e-9, 4e10, 4000), (2.0, 4.0, 2000), (0.25, 1e3, 3000)]
+        brackets = skipped = 0
+        for b in bases:
+            for window in windows:
+                found, lost = _assert_scan_matches_per_node(caplog, FullGap(b), *window)
+                brackets += found
+                skipped += lost
+        # the spread reaches roots and overflowing nodes (b = 1e10 falls back per node)
+        assert brackets > 0 and skipped > 0
+        for b in (1e10, 1e-300, 1.0 + 1e-7, 1.0 - 1e-7, 0.05, TANGENT_BASE):
+            _assert_scan_matches_per_node(caplog, FullGap(b), 1e-9, 50.0, 20000)
+
+    def test_w_residual_non_finite_nodes(self, caplog):
+        assert _assert_scan_matches_per_node(caplog, WResidual(5.0), 700.0, 720.0, 10) == (0, 9)
+        _assert_scan_matches_per_node(caplog, WResidual(5.0), 600.0, 720.0, 40)
+        _assert_scan_matches_per_node(caplog, WResidual(-0.25), -800.0, 800.0, 1600)
+
+    def test_w_residual_exact_zero_nodes(self, caplog):
+        # e is 1*e**1 exactly: a zero at the last node, then mid-grid
+        assert _assert_scan_matches_per_node(caplog, WResidual(math.e), -3.0, 1.0, 4) == (1, 0)
+        assert _assert_scan_matches_per_node(caplog, WResidual(math.e), 0.0, 2.0, 4) == (1, 0)
+        assert _assert_scan_matches_per_node(caplog, WResidual(0.0), -1.0, 1.0, 2) == (1, 0)
+        # a sign change whose product underflows to -0.0 brackets nothing
+        assert _assert_scan_matches_per_node(caplog, WResidual(0.0), -1e-170, 1e-170, 3) == (0, 0)
+
+    def test_diagonal_gap(self, caplog):
+        for b in (0.05, 0.5, 1.3, TANGENT_BASE, 2.0, 1e10):
+            _assert_scan_matches_per_node(caplog, DiagonalGap(b), -5.0, 5.0, 1000)
+            _assert_scan_matches_per_node(caplog, DiagonalGap(b), -2000.0, 2000.0, 4000)
