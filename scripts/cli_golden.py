@@ -21,14 +21,15 @@ import math
 import os
 import sys
 import tempfile
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from expcross.cli import FORMATS
 from expcross.cli import main as cli_main
 
-FORMATS = ("json", "csv", "plain")
 TANGENT_BASE = repr(math.exp(1.0 / math.e))
 
 
@@ -108,9 +109,7 @@ def main() -> int:
 
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(records, indent=1) + "\n")
-    codes: dict[int, int] = {}
-    for record in records:
-        codes[record["exit"]] = codes.get(record["exit"], 0) + 1
+    codes = Counter(record["exit"] for record in records)
     print(f"{len(records)} cases, exit codes {dict(sorted(codes.items()))}")
     print(f"frozen to {out}")
     return 0

@@ -294,9 +294,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: parse_args only reads the parser and returns a
+# fresh Namespace, and no argument has a mutable default.
+_PARSER = build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.run(args)
     except (DomainError, StateError) as exc:

@@ -102,8 +102,8 @@ def scan_sign_changes(spec: ScalarFnSpec, lo: float, hi: float, n: int) -> list[
     touching a non-finite value are skipped; the skip count is logged.
 
     The nodes are evaluated and searched in whole-list passes.  FullGap is
-    computed as b**x - log(x)/ln(b) with ln(b) taken once; if b**x overflows
-    at any node, every node falls back to spec(x).  Only the panels whose
+    computed as b**x - log(x)/ln(b) with ln(b) taken once; where b**x
+    overflows, the value is inf, as in spec(x).  Only the panels whose
     ends differ in f < 0, the exact zeros and, when the sum of the values is
     not finite, the non-finite nodes are then visited one by one, under the
     rules above.  f_lo * f_hi < 0.0 stays the final test, so a sign change
@@ -150,7 +150,16 @@ def _values(spec: ScalarFnSpec, xs: list[float]) -> list[float]:
                 map(sub, map(pow, repeat(b), xs), map(truediv, map(math.log, xs), repeat(ln_b)))
             )
         except OverflowError:
-            pass
+            # b > 1 here, so b**x overflows on a suffix of the ascending grid,
+            # where spec(x) returns inf.
+            powers: list[float] = []
+            try:
+                powers.extend(map(pow, repeat(b), xs))
+            except OverflowError:
+                pass
+            k = len(powers)
+            logs = map(truediv, map(math.log, xs[:k]), repeat(ln_b))
+            return [*map(sub, powers, logs), *repeat(math.inf, len(xs) - k)]
     return list(map(spec, xs))
 
 

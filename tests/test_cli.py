@@ -3,17 +3,23 @@ import math
 import random
 import subprocess
 import sys
+import threading
+from pathlib import Path
 
 import pytest
 
+from expcross import cli
 from expcross.cli import (
     _NEGATIVE_NUMBER,
+    _PARSER,
     EXIT_CONVERGENCE,
     EXIT_DOMAIN,
     EXIT_OK,
     EXIT_USAGE,
+    build_parser,
     main,
 )
+from expcross.compare import DEFAULT_SCAN_N, default_x_max
 
 
 def run_cli(capsys, *argv):
@@ -267,3 +273,69 @@ def test_negative_number_matcher_agrees_with_float():
     literals += [repr(-(10.0 ** rng.uniform(-320.0, 308.0))) for _ in range(500)]
     for text in literals:
         assert bool(_NEGATIVE_NUMBER.match(text)) == _parses_as_float(text), text
+
+
+class TestSharedParser:
+    """main() parses with one parser built at import; calls must not leak into each other."""
+
+    ARGVS = [
+        ["eval", "--z", "-0.25", "--branch", "-1", "--format", "json"],
+        ["eval", "--z", "-1e-10", "--branch", "0", "--tol", "1e-12", "--max-iter", "7"],
+        ["intersect", "--base", "1.3"],
+        ["intersect", "--base", "0.8", "--format", "csv"],
+        ["oracle", "--base", "1.3", "--x-max", "10", "--samples", "500"],
+        ["oracle", "--base", "2.0", "--format", "plain"],
+        ["plot", "--figure", "custom", "--base", "1.2", "--x-min", "-1e-3", "--out", "c.csv"],
+        ["plot", "--figure", "fig4", "--samples", "50", "--out", "f.csv"],
+    ]
+
+    def test_oracle_options_do_not_stick(self, capsys):
+        run_cli(capsys, "oracle", "--base", "1.3", "--x-max", "10", "--samples", "500")
+        _, out, _ = run_cli(capsys, "oracle", "--base", "1.3", "--format", "json")
+        payload = json.loads(out)
+        assert payload["config"]["x_max"] == default_x_max(tuple(payload["closed_form_roots"]))
+        assert payload["config"]["samples"] == DEFAULT_SCAN_N == 20000
+
+    def test_valid_call_after_usage_error_gives_golden_bytes(self, capsys):
+        golden = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+        by_argv = {tuple(case["argv"]): case for case in golden}
+        with pytest.raises(SystemExit) as err:
+            main(["eval", "--z", "1", "--branch", "2"])
+        assert err.value.code == EXIT_USAGE
+        capsys.readouterr()
+        argv = ("eval", "--z", "-0.25", "--branch", "-1", "--format", "json")
+        code, out, err = run_cli(capsys, *argv)
+        case = by_argv[argv]
+        assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])
+
+    def test_threads_share_the_parser(self):
+        expected = [vars(build_parser().parse_args(argv)) for argv in self.ARGVS]
+        mismatches = []
+
+        def work(offset):
+            for i in range(100):
+                k = (offset + i) % len(self.ARGVS)
+                if vars(_PARSER.parse_args(self.ARGVS[k])) != expected[k]:
+                    mismatches.append(self.ARGVS[k])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+
+    def test_main_does_not_rebuild_the_parser(self, capsys, monkeypatch):
+        def no_rebuild():
+            raise AssertionError("main() rebuilt the parser")
+
+        monkeypatch.setattr(cli, "build_parser", no_rebuild)
+        code, out, _ = run_cli(capsys, "intersect", "--base", "1.3", "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(out)["class"] == "two_points"

@@ -236,7 +236,7 @@ class TestScanBitIdentity:
                 found, lost = _assert_scan_matches_per_node(caplog, FullGap(b), *window)
                 brackets += found
                 skipped += lost
-        # the spread reaches roots and overflowing nodes (b = 1e10 falls back per node)
+        # the spread reaches roots and overflowing nodes (b = 1e10 overflows on a suffix)
         assert brackets > 0 and skipped > 0
         for b in (1e10, 1e-300, 1.0 + 1e-7, 1.0 - 1e-7, 0.05, TANGENT_BASE):
             _assert_scan_matches_per_node(caplog, FullGap(b), 1e-9, 50.0, 20000)
@@ -258,3 +258,12 @@ class TestScanBitIdentity:
         for b in (0.05, 0.5, 1.3, TANGENT_BASE, 2.0, 1e10):
             _assert_scan_matches_per_node(caplog, DiagonalGap(b), -5.0, 5.0, 1000)
             _assert_scan_matches_per_node(caplog, DiagonalGap(b), -2000.0, 2000.0, 4000)
+
+    def test_overflowing_base_is_not_evaluated_per_node(self, caplog, monkeypatch):
+        calls = []
+        call = FullGap.__call__
+        monkeypatch.setattr(FullGap, "__call__", lambda self, x: calls.append(x) or call(self, x))
+        with caplog.at_level(logging.WARNING, logger="expcross.oracle"):
+            assert scan_sign_changes(FullGap(1e10), 1e-9, 50.0, 20000) == []
+        assert [(rec.msg, rec.args) for rec in caplog.records] == [(SKIP_MSG, (7670,))]
+        assert calls == []
