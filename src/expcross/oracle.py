@@ -144,22 +144,17 @@ def _values(spec: ScalarFnSpec, xs: list[float]) -> list[float]:
     """spec at every node; FullGap in one pass, bit-identical to spec(x)."""
     if isinstance(spec, FullGap):
         b, ln_b = spec.b, math.log(spec.b)
-        # Divide as spec(x) does: a product with 1/ln_b rounds differently.
+        # b**x can overflow only for b > 1, so only on a suffix of the
+        # ascending grid; spec(x) is inf there.
+        powers: list[float] = []
         try:
-            return list(
-                map(sub, map(pow, repeat(b), xs), map(truediv, map(math.log, xs), repeat(ln_b)))
-            )
+            powers.extend(map(pow, repeat(b), xs))
         except OverflowError:
-            # b > 1 here, so b**x overflows on a suffix of the ascending grid,
-            # where spec(x) returns inf.
-            powers: list[float] = []
-            try:
-                powers.extend(map(pow, repeat(b), xs))
-            except OverflowError:
-                pass
-            k = len(powers)
-            logs = map(truediv, map(math.log, xs[:k]), repeat(ln_b))
-            return [*map(sub, powers, logs), *repeat(math.inf, len(xs) - k)]
+            pass
+        # Divide as spec(x) does: a product with 1/ln_b rounds differently.
+        fs = list(map(sub, powers, map(truediv, map(math.log, xs), repeat(ln_b))))
+        fs.extend(repeat(math.inf, len(xs) - len(fs)))
+        return fs
     return list(map(spec, xs))
 
 

@@ -4,7 +4,6 @@ import random
 import subprocess
 import sys
 import threading
-from pathlib import Path
 
 import pytest
 
@@ -19,7 +18,6 @@ from expcross.cli import (
     build_parser,
     main,
 )
-from expcross.compare import DEFAULT_SCAN_N, default_x_max
 
 
 def run_cli(capsys, *argv):
@@ -288,25 +286,6 @@ class TestSharedParser:
         ["plot", "--figure", "custom", "--base", "1.2", "--x-min", "-1e-3", "--out", "c.csv"],
         ["plot", "--figure", "fig4", "--samples", "50", "--out", "f.csv"],
     ]
-
-    def test_oracle_options_do_not_stick(self, capsys):
-        run_cli(capsys, "oracle", "--base", "1.3", "--x-max", "10", "--samples", "500")
-        _, out, _ = run_cli(capsys, "oracle", "--base", "1.3", "--format", "json")
-        payload = json.loads(out)
-        assert payload["config"]["x_max"] == default_x_max(tuple(payload["closed_form_roots"]))
-        assert payload["config"]["samples"] == DEFAULT_SCAN_N == 20000
-
-    def test_valid_call_after_usage_error_gives_golden_bytes(self, capsys):
-        golden = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
-        by_argv = {tuple(case["argv"]): case for case in golden}
-        with pytest.raises(SystemExit) as err:
-            main(["eval", "--z", "1", "--branch", "2"])
-        assert err.value.code == EXIT_USAGE
-        capsys.readouterr()
-        argv = ("eval", "--z", "-0.25", "--branch", "-1", "--format", "json")
-        code, out, err = run_cli(capsys, *argv)
-        case = by_argv[argv]
-        assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])
 
     def test_threads_share_the_parser(self):
         expected = [vars(build_parser().parse_args(argv)) for argv in self.ARGVS]

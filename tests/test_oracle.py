@@ -236,7 +236,7 @@ class TestScanBitIdentity:
                 found, lost = _assert_scan_matches_per_node(caplog, FullGap(b), *window)
                 brackets += found
                 skipped += lost
-        # the spread reaches roots and overflowing nodes (b = 1e10 overflows on a suffix)
+        # the spread reaches roots and overflowing nodes (b = 1e10)
         assert brackets > 0 and skipped > 0
         for b in (1e10, 1e-300, 1.0 + 1e-7, 1.0 - 1e-7, 0.05, TANGENT_BASE):
             _assert_scan_matches_per_node(caplog, FullGap(b), 1e-9, 50.0, 20000)
