@@ -11,6 +11,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import repeat
 from operator import lt, sub, truediv
 from typing import Iterator, Union
@@ -103,11 +104,13 @@ def scan_sign_changes(spec: ScalarFnSpec, lo: float, hi: float, n: int) -> list[
 
     The nodes are evaluated and searched in whole-list passes.  FullGap is
     computed as b**x - log(x)/ln(b) with ln(b) taken once; where b**x
-    overflows, the value is inf, as in spec(x).  Only the panels whose
-    ends differ in f < 0, the exact zeros and, when the sum of the values is
-    not finite, the non-finite nodes are then visited one by one, under the
-    rules above.  f_lo * f_hi < 0.0 stays the final test, so a sign change
-    whose product underflows to zero brackets nothing.
+    overflows, the value is inf, as in spec(x).  The nodes and their logs do
+    not depend on b: those of the last FullGap window (lo, hi, n) are kept,
+    two tuples of n+1 floats (~1.3 MB at n = 20000), for the next base on it.
+    Only the panels whose ends differ in f < 0, the exact zeros and, when the
+    sum of the values is not finite, the non-finite nodes are then visited
+    one by one, under the rules above.  f_lo * f_hi < 0.0 stays the final
+    test, so a sign change whose product underflows to zero brackets nothing.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
         raise DomainError(f"scan interval needs lo < hi, got [{lo!r}, {hi!r}]")
@@ -116,9 +119,12 @@ def scan_sign_changes(spec: ScalarFnSpec, lo: float, hi: float, n: int) -> list[
     if isinstance(spec, FullGap) and lo <= 0.0:
         raise DomainError(f"FullGap is defined on x > 0, got lo={lo!r}")
 
-    step = (hi - lo) / n
-    xs = [lo + i * step for i in range(n)] + [hi]
-    fs = _values(spec, xs)
+    if isinstance(spec, FullGap):
+        xs, logs = _log_grid(lo, hi, n)
+        fs = _full_gap_values(spec.b, xs, logs)
+    else:
+        xs = _nodes(lo, hi, n)
+        fs = list(map(spec, xs))
 
     neg = bytes(map(lt, fs, repeat(0.0)))
     candidates = [*_find_all(neg, b"\x00\x01"), *_find_all(neg, b"\x01\x00")]
@@ -140,22 +146,33 @@ def scan_sign_changes(spec: ScalarFnSpec, lo: float, hi: float, n: int) -> list[
     return brackets
 
 
-def _values(spec: ScalarFnSpec, xs: list[float]) -> list[float]:
-    """spec at every node; FullGap in one pass, bit-identical to spec(x)."""
-    if isinstance(spec, FullGap):
-        b, ln_b = spec.b, math.log(spec.b)
-        # b**x can overflow only for b > 1, so only on a suffix of the
-        # ascending grid; spec(x) is inf there.
-        powers: list[float] = []
-        try:
-            powers.extend(map(pow, repeat(b), xs))
-        except OverflowError:
-            pass
-        # Divide as spec(x) does: a product with 1/ln_b rounds differently.
-        fs = list(map(sub, powers, map(truediv, map(math.log, xs), repeat(ln_b))))
-        fs.extend(repeat(math.inf, len(xs) - len(fs)))
-        return fs
-    return list(map(spec, xs))
+def _nodes(lo: float, hi: float, n: int) -> list[float]:
+    step = (hi - lo) / n
+    return [lo + i * step for i in range(n)] + [hi]
+
+
+# typed: xs[-1] is hi, so hi=50 and hi=50.0 must not share an entry.
+@lru_cache(maxsize=1, typed=True)
+def _log_grid(lo: float, hi: float, n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """FullGap's nodes and their logs, which do not depend on b: kept for the last window."""
+    xs = tuple(_nodes(lo, hi, n))
+    return xs, tuple(map(math.log, xs))
+
+
+def _full_gap_values(b: float, xs: tuple[float, ...], logs: tuple[float, ...]) -> list[float]:
+    """FullGap(b) at every node in one pass, bit-identical to FullGap(b)(x)."""
+    ln_b = math.log(b)
+    # b**x can overflow only for b > 1, so only on a suffix of the
+    # ascending grid; FullGap(b)(x) is inf there.
+    powers: list[float] = []
+    try:
+        powers.extend(map(pow, repeat(b), xs))
+    except OverflowError:
+        pass
+    # Divide as spec(x) does: a product with 1/ln_b rounds differently.
+    fs = list(map(sub, powers, map(truediv, logs, repeat(ln_b))))
+    fs.extend(repeat(math.inf, len(xs) - len(fs)))
+    return fs
 
 
 def _find_all(data: bytes, pattern: bytes) -> Iterator[int]:

@@ -181,6 +181,46 @@ class TestEvalW:
         assert result.residual <= 1e-14 * 12.34
 
 
+def assert_within_ulps(z: float, branch: BranchId, ref: float, ulps: int = 4) -> None:
+    w = eval_w(z, branch).w
+    assert abs(w - ref) <= ulps * math.ulp(ref), (z, branch, w, ref)
+
+
+def open_defect(reason, raises=AssertionError):
+    """Marks a known eval_w defect; passing code fails the test until the marker goes."""
+    return pytest.mark.xfail(strict=True, raises=raises, reason=reason)
+
+
+class TestOpenDefects:
+    """Regression tests for the W defects still open.
+
+    References are mpmath 1.3.0 lambertw at 50 digits, rounded to double and
+    frozen here, so the suite needs no mpmath.  Fixing a defect turns its
+    test into an XPASS, which strict mode reports as a failure: remove the
+    marker in the same change.
+    """
+
+    @open_defect("W0 at 1e200 hits the refinement budget", raises=ConvergenceError)
+    def test_w0_large_argument_converges(self):
+        assert_within_ulps(1e200, BranchId.W0, 454.398045033714)
+
+    @open_defect("W0 accepts the seed w = z after 0 steps under an absolute tolerance")
+    def test_w0_small_positive_argument(self):
+        assert_within_ulps(1e-8, BranchId.W0, 9.999999900000002e-09)
+
+    @open_defect("W0 accepts the seed w = z after 0 steps under an absolute tolerance")
+    def test_w0_small_negative_argument(self):
+        assert_within_ulps(-1e-10, BranchId.W0, -1.0000000001000001e-10)
+
+    @open_defect("Wm1 accepts the log-asymptotic seed near 0- without refining")
+    def test_wm1_near_zero(self):
+        assert_within_ulps(-1e-14, BranchId.WM1, -35.81454540915232)
+
+    @open_defect("Wm1 accepts the log-asymptotic seed near 0- without refining")
+    def test_wm1_tiny_argument(self):
+        assert_within_ulps(-1e-300, BranchId.WM1, -697.3227762954601)
+
+
 w0_args = st.floats(min_value=BRANCH_POINT_Z, max_value=1e6, allow_nan=False)
 wm1_args = st.floats(min_value=BRANCH_POINT_Z, max_value=-1e-9, allow_nan=False)
 

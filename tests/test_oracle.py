@@ -3,6 +3,8 @@ import logging
 import math
 import pathlib
 import random
+import sys
+import threading
 
 import pytest
 
@@ -267,3 +269,62 @@ class TestScanBitIdentity:
             assert scan_sign_changes(FullGap(1e10), 1e-9, 50.0, 20000) == []
         assert [(rec.msg, rec.args) for rec in caplog.records] == [(SKIP_MSG, (7670,))]
         assert calls == []
+
+
+class TestLogGridCache:
+    """FullGap keeps the nodes and logs of its last window; results stay bit-identical."""
+
+    def test_int_and_float_endpoint_are_distinct_windows(self, caplog):
+        # b = 45**(1/45) puts the upper root in the last panel, so hi is
+        # printed in a bracket: a cached int 50 must never stand in for 50.0
+        b = 45.0 ** (1.0 / 45.0)
+        for hi in (50, 50.0, 50, 50.0):
+            assert _assert_scan_matches_per_node(caplog, FullGap(b), 1e-9, hi, 4) == (2, 0)
+            assert repr(scan_sign_changes(FullGap(b), 1e-9, hi, 4)[-1].hi) == repr(hi)
+        for hi in (50.0, 50, 50.0, 50):
+            _assert_scan_matches_per_node(caplog, FullGap(1.3), 1e-9, hi, 20000)
+
+    def test_interleaved_windows_and_bases(self, caplog):
+        windows = [(1e-9, 50.0, 20000), (0.25, 1e3, 3000)]
+        for _ in range(2):
+            for b in (0.05, 1.3, 1e10, TANGENT_BASE, 0.8):
+                for window in windows:
+                    _assert_scan_matches_per_node(caplog, FullGap(b), *window)
+
+    def test_second_base_on_a_window_reuses_the_logs(self, caplog):
+        grid = expcross.oracle._log_grid
+        scan_sign_changes(FullGap(0.8), 1e-9, 50.0, 20000)
+        before = grid.cache_info()
+        _assert_scan_matches_per_node(caplog, FullGap(1.3), 1e-9, 50.0, 20000)
+        after = grid.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        assert after.maxsize == 1 and after.currsize == 1
+
+    def test_threads_get_the_serial_result(self):
+        cases = [
+            (b, window)
+            for b in (0.05, 1.3, 2.0)
+            for window in ((1e-9, 50.0, 2000), (1e-9, 20.0, 1500))
+        ]
+        expected = [repr(scan_sign_changes(FullGap(b), *window)) for b, window in cases]
+        mismatches = []
+
+        def work(offset):
+            for i in range(60):
+                k = (offset + i) % len(cases)
+                b, window = cases[k]
+                if repr(scan_sign_changes(FullGap(b), *window)) != expected[k]:
+                    mismatches.append(cases[k])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
