@@ -13,7 +13,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import asdict
 from typing import Sequence
 
 from . import __version__
@@ -78,7 +77,7 @@ def _emit_eval(result: EvalResult, config: EvalConfig, fmt: str) -> None:
                     "w": result.w,
                     "residual": result.residual,
                     "iterations": result.iterations,
-                    "config": asdict(config),
+                    "config": config._asdict(),
                 }
             )
         )
@@ -112,8 +111,8 @@ def _emit_intersect(report: IntersectionReport, config: EvalConfig, fmt: str) ->
                     "b": report.b,
                     "z": report.z,
                     "class": report.classification.value,
-                    "points": [asdict(p) for p in report.points],
-                    "config": asdict(config),
+                    "points": [p._asdict() for p in report.points],
+                    "config": config._asdict(),
                 }
             )
         )

@@ -7,9 +7,7 @@ exception; for very small bases the oracle can legitimately see
 off-diagonal intersections the bisectrix argument does not produce.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .intersect import diagonal_intersections
 from .lambertw import DEFAULT_CONFIG, EvalConfig
@@ -21,8 +19,7 @@ DEFAULT_SCAN_N = 20000
 DEFAULT_ABS_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class ComparisonVerdict:
+class ComparisonVerdict(NamedTuple):
     b: float
     x_max: float
     n: int

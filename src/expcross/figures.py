@@ -5,15 +5,12 @@ to whatever the data lands in.  The named figures fix the base and the
 sampling windows; "custom" derives a window from the solved points.
 """
 
-from __future__ import annotations
-
 import csv
 import math
-from dataclasses import dataclass
-from typing import Iterable, TextIO
+from typing import Iterable, NamedTuple, TextIO
 
 from .errors import DomainError
-from .intersect import TANGENT_BASE, diagonal_intersections
+from .intersect import TANGENT_BASE, IntersectionPoint, diagonal_intersections
 
 __all__ = ["CurveSample", "FIGURE_NAMES", "figure_samples", "custom_samples", "write_csv"]
 
@@ -22,8 +19,7 @@ FIGURE_NAMES = ("fig1", "fig2", "fig3", "fig4", "fig5")
 DEFAULT_SAMPLES = 400
 
 
-@dataclass(frozen=True)
-class CurveSample:
+class CurveSample(NamedTuple):
     x: float
     y: float
     series_label: str
@@ -50,6 +46,7 @@ def _series(label: str, f, lo: float, hi: float, samples: int) -> list[CurveSamp
 
 def _base_figure(
     b: float,
+    points: tuple[IntersectionPoint, ...],
     exp_range: tuple[float, float],
     log_range: tuple[float, float],
     bis_range: tuple[float, float],
@@ -59,9 +56,17 @@ def _base_figure(
     rows = _series("exp", lambda x: b**x, *exp_range, samples)
     rows += _series("log", lambda x: math.log(x) / ln_b, *log_range, samples)
     rows += _series("bisectrix", lambda x: x, *bis_range, samples)
-    for p in diagonal_intersections(b).points:
-        rows.append(CurveSample(x=p.x, y=p.y, series_label="point"))
+    rows += [CurveSample(x=p.x, y=p.y, series_label="point") for p in points]
     return rows
+
+
+# name -> (base, exp window, log window, bisectrix window)
+_BASE_FIGURES = {
+    "fig1": (math.e, (-6.0, 1.5), (0.05, 8.0), (-3.0, 4.0)),
+    "fig3": (0.8, (-2.0, 6.2), (0.2, 7.0), (-2.0, 4.0)),
+    "fig4": (1.3, (-3.0, 14.0), (0.6, 11.0), (-2.0, 12.0)),
+    "fig5": (TANGENT_BASE, (-6.0, 6.0), (0.5, 5.0), (-2.0, 5.0)),
+}
 
 
 def figure_samples(name: str, samples: int = DEFAULT_SAMPLES) -> list[CurveSample]:
@@ -71,18 +76,13 @@ def figure_samples(name: str, samples: int = DEFAULT_SAMPLES) -> list[CurveSampl
     with its minimum marked at (-1, -1/e); fig3: b = 0.8; fig4: b = 1.3;
     fig5: the tangent base e**(1/e).
     """
-    if name == "fig1":
-        return _base_figure(math.e, (-6.0, 1.5), (0.05, 8.0), (-3.0, 4.0), samples)
     if name == "fig2":
         rows = _series("curve", lambda w: w * math.exp(w), -6.0, 1.5, samples)
         rows.append(CurveSample(x=-1.0, y=-math.exp(-1.0), series_label="point"))
         return rows
-    if name == "fig3":
-        return _base_figure(0.8, (-2.0, 6.2), (0.2, 7.0), (-2.0, 4.0), samples)
-    if name == "fig4":
-        return _base_figure(1.3, (-3.0, 14.0), (0.6, 11.0), (-2.0, 12.0), samples)
-    if name == "fig5":
-        return _base_figure(TANGENT_BASE, (-6.0, 6.0), (0.5, 5.0), (-2.0, 5.0), samples)
+    if name in _BASE_FIGURES:
+        b, *windows = _BASE_FIGURES[name]
+        return _base_figure(b, diagonal_intersections(b).points, *windows, samples)
     raise DomainError(f"unknown figure {name!r}; expected one of {FIGURE_NAMES} or custom")
 
 
@@ -105,12 +105,11 @@ def custom_samples(
     if b > 1.0:
         exp_hi = min(exp_hi, math.log(1e6) / math.log(b))
     log_lo = max(x_min, 1e-3)
-    return _base_figure(b, (x_min, exp_hi), (log_lo, x_max), (x_min, x_max), samples)
+    return _base_figure(b, points, (x_min, exp_hi), (log_lo, x_max), (x_min, x_max), samples)
 
 
 def write_csv(rows: Iterable[CurveSample], stream: TextIO) -> None:
     """Emit `x,y,series_label` rows; floats as shortest round-trip repr."""
     writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["x", "y", "series_label"])
-    for row in rows:
-        writer.writerow([repr(row.x), repr(row.y), row.series_label])
+    writer.writerow(CurveSample._fields)
+    writer.writerows((repr(x), repr(y), label) for x, y, label in rows)

@@ -16,11 +16,9 @@ module's job, so the closed form and independent numerics can be compared
 rather than conflated.
 """
 
-from __future__ import annotations
-
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, StateError
 from .lambertw import DEFAULT_CONFIG, BranchId, EvalConfig, eval_w
@@ -54,8 +52,7 @@ class IntersectionClass(enum.Enum):
     NO_INTERSECTION = "no_intersection"
 
 
-@dataclass(frozen=True)
-class IntersectionPoint:
+class IntersectionPoint(NamedTuple):
     """One intersection abscissa with its provenance.
 
     All points lie on the bisectrix, so y == x.  source_branch is "W0",
@@ -68,8 +65,7 @@ class IntersectionPoint:
     residual: float
 
 
-@dataclass(frozen=True)
-class IntersectionReport:
+class IntersectionReport(NamedTuple):
     b: float
     z: float
     classification: IntersectionClass

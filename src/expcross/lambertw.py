@@ -11,11 +11,9 @@ leaves the branch's half-line or stops contracting, so it always
 terminates.
 """
 
-from __future__ import annotations
-
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConvergenceError, DomainError
 
@@ -56,8 +54,13 @@ class BranchId(enum.IntEnum):
         return "W0" if self is BranchId.W0 else "Wm1"
 
 
-@dataclass(frozen=True)
-class EvalConfig:
+class _EvalConfigFields(NamedTuple):
+    rel_tol: float = 1e-14
+    max_iter: int = 50
+    branch_point_window: float = 1e-10
+
+
+class EvalConfig(_EvalConfigFields):
     """Accuracy knobs for eval_w.
 
     rel_tol is applied as residual <= rel_tol * max(1, |z|); values below
@@ -67,23 +70,23 @@ class EvalConfig:
     compute z = -ln(b) in floating point.
     """
 
-    rel_tol: float = 1e-14
-    max_iter: int = 50
-    branch_point_window: float = 1e-10
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.rel_tol > 0.0:
             raise DomainError(f"rel_tol must be positive, got {self.rel_tol}")
         if self.max_iter < 1:
             raise DomainError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.branch_point_window < 0.0:
-            raise DomainError(
-                f"branch_point_window must be >= 0, got {self.branch_point_window}"
-            )
+            raise DomainError(f"branch_point_window must be >= 0, got {self.branch_point_window}")
+        return self
+
+    # The inherited _make, and so _replace, would build the tuple without __new__.
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(NamedTuple):
     """Evaluated W value with its defining-equation residual |w*e**w - z|."""
 
     z: float

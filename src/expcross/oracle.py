@@ -6,15 +6,11 @@ halving only.  This module must stay independent of the W evaluator
 modes; tests enforce that structurally.
 """
 
-from __future__ import annotations
-
-import logging
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from operator import lt, sub, truediv
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 from .errors import DomainError
 
@@ -29,11 +25,8 @@ __all__ = [
     "all_intersections_numeric",
 ]
 
-log = logging.getLogger(__name__)
 
-
-@dataclass(frozen=True)
-class WResidual:
+class WResidual(NamedTuple):
     """f(w) = w*e**w - z, the defining-equation defect."""
 
     z: float
@@ -45,8 +38,7 @@ class WResidual:
             return math.inf
 
 
-@dataclass(frozen=True)
-class DiagonalGap:
+class DiagonalGap(NamedTuple):
     """g(x) = b**x - x, zero at fixed points of the exponential."""
 
     b: float
@@ -58,8 +50,7 @@ class DiagonalGap:
             return math.inf
 
 
-@dataclass(frozen=True)
-class FullGap:
+class FullGap(NamedTuple):
     """h(x) = b**x - log_b(x) on x > 0, zero at every intersection."""
 
     b: float
@@ -74,25 +65,33 @@ class FullGap:
 ScalarFnSpec = Union[WResidual, DiagonalGap, FullGap]
 
 
-@dataclass(frozen=True)
-class RootBracket:
-    """A certified sign-change interval; degenerate (lo == hi) at an exact zero."""
-
+class _RootBracketFields(NamedTuple):
     lo: float
     hi: float
     f_lo: float
     f_hi: float
 
-    def __post_init__(self) -> None:
-        if self.lo == self.hi and self.f_lo == 0.0:
-            return
-        if not self.lo < self.hi:
-            raise DomainError(f"bracket needs lo < hi, got [{self.lo!r}, {self.hi!r}]")
-        if not (self.f_lo * self.f_hi < 0.0 or self.f_lo == 0.0 or self.f_hi == 0.0):
+
+class RootBracket(_RootBracketFields):
+    """A certified sign-change interval; degenerate (lo == hi) at an exact zero."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        lo, hi, f_lo, f_hi = self
+        if lo == hi and f_lo == 0.0:
+            return self
+        if not lo < hi:
+            raise DomainError(f"bracket needs lo < hi, got [{lo!r}, {hi!r}]")
+        if not (f_lo * f_hi < 0.0 or f_lo == 0.0 or f_hi == 0.0):
             raise DomainError(
-                f"bracket [{self.lo!r}, {self.hi!r}] has no sign change: "
-                f"f_lo={self.f_lo!r}, f_hi={self.f_hi!r}"
+                f"bracket [{lo!r}, {hi!r}] has no sign change: f_lo={f_lo!r}, f_hi={f_hi!r}"
             )
+        return self
+
+    # The inherited _make, and so _replace, would build the tuple without __new__.
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
 
 def scan_sign_changes(spec: ScalarFnSpec, lo: float, hi: float, n: int) -> list[RootBracket]:
@@ -141,8 +140,12 @@ def scan_sign_changes(spec: ScalarFnSpec, lo: float, hi: float, n: int) -> list[
         if math.isfinite(f_i) and math.isfinite(f_j) and f_j != 0.0 and f_i * f_j < 0.0:
             brackets.append(RootBracket(lo=xs[i], hi=xs[i + 1], f_lo=f_i, f_hi=f_j))
     skipped = 0 if math.isfinite(sum(fs)) else len(fs) - sum(map(math.isfinite, fs))
-    if skipped:
-        log.warning("scan_sign_changes: skipped %d node(s) with non-finite values", skipped)
+    if skipped:  # logging takes milliseconds to import; only this rare path needs it
+        import logging
+
+        logging.getLogger(__name__).warning(
+            "scan_sign_changes: skipped %d node(s) with non-finite values", skipped
+        )
     return brackets
 
 
