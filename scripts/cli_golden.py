@@ -51,6 +51,9 @@ def cases() -> list[list[str]]:
         for fmt in FORMATS
     ]
     argvs.append(["oracle", "--base", "1.3", "--samples", "500", "--x-max", "10", "--format", "json"])
+    # The window ends below the closed-form root 7.857, so the oracle misses
+    # it: a count mismatch next to a matched pair, and a CSV row `,c,`.
+    argvs += [["oracle", "--base", "1.3", "--x-max", "5", "--format", fmt] for fmt in FORMATS]
     argvs += [["plot", "--figure", f"fig{i}", "--out", f"fig{i}.csv"] for i in range(1, 6)]
     argvs.append(
         ["plot", "--figure", "custom", "--base", "1.2", "--x-min", "-1e-3", "--out", "custom.csv"]

@@ -13,14 +13,14 @@ import argparse
 import json
 import re
 import sys
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import __version__
-from .compare import DEFAULT_ABS_TOL, DEFAULT_SCAN_N, ComparisonVerdict, compare_with_closed_form
+from .compare import DEFAULT_ABS_TOL, DEFAULT_SCAN_N, compare_with_closed_form
 from .errors import ConvergenceError, DomainError, StateError
 from .figures import DEFAULT_SAMPLES, FIGURE_NAMES, custom_samples, figure_samples, write_csv
-from .intersect import IntersectionReport, diagonal_intersections
-from .lambertw import BranchId, EvalConfig, EvalResult, eval_w
+from .intersect import IntersectionPoint, diagonal_intersections
+from .lambertw import BranchId, EvalConfig, eval_w
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -56,155 +56,94 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+def _fmt(value: object) -> str:
+    return repr(value) if isinstance(value, float) else str(value)
 
 
-def _print_csv(header: list[str], rows: list[list[str]]) -> None:
-    print(",".join(header))
-    for row in rows:
-        print(",".join(row))
+def _emit(
+    fmt: str, payload: dict, header: Sequence[str], rows: Iterable[Iterable], lines: Iterable[str]
+) -> None:
+    """Print one command's result as JSON, CSV (header, then rows of values) or plain lines.
 
-
-def _emit_eval(result: EvalResult, config: EvalConfig, fmt: str) -> None:
+    Callers pass rows and lines as generators, so only the requested
+    format is ever built.
+    """
     if fmt == "json":
-        print(
-            json.dumps(
-                {
-                    "command": "eval",
-                    "z": result.z,
-                    "branch": int(result.branch),
-                    "w": result.w,
-                    "residual": result.residual,
-                    "iterations": result.iterations,
-                    "config": config._asdict(),
-                }
-            )
-        )
+        print(json.dumps(payload))
     elif fmt == "csv":
-        _print_csv(
-            ["z", "branch", "w", "residual", "iterations"],
-            [
-                [
-                    _fmt(result.z),
-                    str(int(result.branch)),
-                    _fmt(result.w),
-                    _fmt(result.residual),
-                    str(result.iterations),
-                ]
-            ],
-        )
+        print(",".join(header))
+        for row in rows:
+            print(",".join(map(_fmt, row)))
     else:
-        print(f"z          {_fmt(result.z)}")
-        print(f"branch     {result.branch.label}")
-        print(f"w          {_fmt(result.w)}")
-        print(f"residual   {_fmt(result.residual)}")
-        print(f"iterations {result.iterations}")
+        for line in lines:
+            print(line)
 
 
-def _emit_intersect(report: IntersectionReport, config: EvalConfig, fmt: str) -> None:
-    if fmt == "json":
-        print(
-            json.dumps(
-                {
-                    "command": "intersect",
-                    "b": report.b,
-                    "z": report.z,
-                    "class": report.classification.value,
-                    "points": [p._asdict() for p in report.points],
-                    "config": config._asdict(),
-                }
-            )
-        )
-    elif fmt == "csv":
-        rows = [
-            [
-                _fmt(report.b),
-                _fmt(report.z),
-                report.classification.value,
-                _fmt(p.x),
-                _fmt(p.y),
-                p.source_branch,
-                _fmt(p.residual),
-            ]
-            for p in report.points
-        ]
-        _print_csv(["b", "z", "class", "x", "y", "source_branch", "residual"], rows)
-    else:
-        print(f"base   {_fmt(report.b)}")
-        print(f"z      {_fmt(report.z)}")
-        print(f"class  {report.classification.value}")
-        if report.points:
-            print("points:")
-            for p in report.points:
-                print(
-                    f"  x={_fmt(p.x)} y={_fmt(p.y)} "
-                    f"source={p.source_branch} residual={_fmt(p.residual)}"
-                )
-        else:
-            print("points: none")
-
-
-def _emit_oracle(verdict: ComparisonVerdict, fmt: str) -> None:
-    if fmt == "json":
-        print(
-            json.dumps(
-                {
-                    "command": "oracle",
-                    "b": verdict.b,
-                    "oracle_roots": list(verdict.oracle_roots),
-                    "closed_form_roots": list(verdict.closed_form_roots),
-                    "matched_pairs": [list(p) for p in verdict.matched_pairs],
-                    "deltas": list(verdict.deltas),
-                    "max_delta": verdict.max_delta,
-                    "count_mismatch": verdict.count_mismatch,
-                    "config": {
-                        "x_max": verdict.x_max,
-                        "samples": verdict.n,
-                        "abs_tol": DEFAULT_ABS_TOL,
-                    },
-                }
-            )
-        )
-    elif fmt == "csv":
-        matched_o = {o for o, _ in verdict.matched_pairs}
-        matched_c = {c for _, c in verdict.matched_pairs}
-        rows = [[_fmt(o), _fmt(c), _fmt(abs(o - c))] for o, c in verdict.matched_pairs]
-        rows += [[_fmt(o), "", ""] for o in verdict.oracle_roots if o not in matched_o]
-        rows += [["", _fmt(c), ""] for c in verdict.closed_form_roots if c not in matched_c]
-        _print_csv(["oracle_root", "closed_form_root", "delta"], rows)
-    else:
-        print(f"base              {_fmt(verdict.b)}")
-        print(f"scan window       (0, {_fmt(verdict.x_max)}] with {verdict.n} panels")
-        print(f"oracle roots      {[_fmt(r) for r in verdict.oracle_roots]}")
-        print(f"closed-form roots {[_fmt(r) for r in verdict.closed_form_roots]}")
-        for o, c in verdict.matched_pairs:
-            print(f"  pair oracle={_fmt(o)} closed={_fmt(c)} delta={_fmt(abs(o - c))}")
-        print(f"max delta         {_fmt(verdict.max_delta)}")
-        print(f"count mismatch    {verdict.count_mismatch}")
-
-
-def _run_eval(args: argparse.Namespace) -> int:
+def _run_eval(args: argparse.Namespace) -> None:
     config = EvalConfig(rel_tol=args.tol, max_iter=args.max_iter)
     result = eval_w(args.z, BranchId(args.branch), config)
-    _emit_eval(result, config, args.format)
-    return EXIT_OK
+    fields = {**result._asdict(), "branch": int(result.branch)}
+    payload = {"command": "eval", **fields, "config": config._asdict()}
+    plain = {**fields, "branch": result.branch.label}
+    lines = (f"{name:<10} {_fmt(value)}" for name, value in plain.items())
+    _emit(args.format, payload, tuple(fields), (fields.values(),), lines)
 
 
-def _run_intersect(args: argparse.Namespace) -> int:
+def _run_intersect(args: argparse.Namespace) -> None:
     config = EvalConfig()
     report = diagonal_intersections(args.base, config)
-    _emit_intersect(report, config, args.format)
-    return EXIT_OK
+    fields = {"b": report.b, "z": report.z, "class": report.classification.value}
+
+    def lines() -> Iterator[str]:
+        yield f"base   {_fmt(report.b)}"
+        yield f"z      {_fmt(report.z)}"
+        yield f"class  {report.classification.value}"
+        yield "points:" if report.points else "points: none"
+        for x, y, source, residual in report.points:
+            yield f"  x={_fmt(x)} y={_fmt(y)} source={source} residual={_fmt(residual)}"
+
+    payload = {
+        "command": "intersect",
+        **fields,
+        "points": [p._asdict() for p in report.points],
+        "config": config._asdict(),
+    }
+    header = (*fields, *IntersectionPoint._fields)
+    rows = ((*fields.values(), *p) for p in report.points)
+    _emit(args.format, payload, header, rows, lines())
 
 
-def _run_oracle(args: argparse.Namespace) -> int:
+def _run_oracle(args: argparse.Namespace) -> None:
     verdict = compare_with_closed_form(args.base, x_max=args.x_max, n=args.samples)
-    _emit_oracle(verdict, args.format)
-    return EXIT_OK
+    pairs = verdict.matched_pairs
+
+    # Matched pairs first, then the roots only one route found.
+    def rows() -> Iterator[tuple]:
+        yield from ((o, c, abs(o - c)) for o, c in pairs)
+        matched_o = {o for o, _ in pairs}
+        matched_c = {c for _, c in pairs}
+        yield from ((o, "", "") for o in verdict.oracle_roots if o not in matched_o)
+        yield from (("", c, "") for c in verdict.closed_form_roots if c not in matched_c)
+
+    def lines() -> Iterator[str]:
+        yield f"base              {_fmt(verdict.b)}"
+        yield f"scan window       (0, {_fmt(verdict.x_max)}] with {verdict.n} panels"
+        yield f"oracle roots      {[_fmt(r) for r in verdict.oracle_roots]}"
+        yield f"closed-form roots {[_fmt(r) for r in verdict.closed_form_roots]}"
+        for o, c in pairs:
+            yield f"  pair oracle={_fmt(o)} closed={_fmt(c)} delta={_fmt(abs(o - c))}"
+        yield f"max delta         {_fmt(verdict.max_delta)}"
+        yield f"count mismatch    {verdict.count_mismatch}"
+
+    # json writes the tuples as lists; the scan settings go under "config".
+    fields = verdict._asdict()
+    config = {"x_max": fields.pop("x_max"), "samples": fields.pop("n"), "abs_tol": DEFAULT_ABS_TOL}
+    payload = {"command": "oracle", **fields, "config": config}
+    header = ("oracle_root", "closed_form_root", "delta")
+    _emit(args.format, payload, header, rows(), lines())
 
 
-def _run_plot(args: argparse.Namespace) -> int:
+def _run_plot(args: argparse.Namespace) -> None:
     if args.figure == "custom":
         if args.base is None:
             raise UsageError("--figure custom requires --base")
@@ -217,7 +156,6 @@ def _run_plot(args: argparse.Namespace) -> int:
     except OSError as exc:
         raise DomainError(f"cannot write {args.out!r}: {exc}") from exc
     print(f"wrote {args.out} ({len(rows)} samples)")
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -301,7 +239,8 @@ _PARSER = build_parser()
 def main(argv: Sequence[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        return args.run(args)
+        args.run(args)
+        return EXIT_OK
     except (DomainError, StateError) as exc:
         print(f"expcross {args.command}: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -63,23 +63,26 @@ class _EvalConfigFields(NamedTuple):
 class EvalConfig(_EvalConfigFields):
     """Accuracy knobs for eval_w.
 
-    rel_tol is applied as residual <= rel_tol * max(1, |z|); values below
-    ~1e-15 sit under the floating-point noise floor of w*e**w and will
-    trigger ConvergenceError.  branch_point_window is the absolute slack
-    below -1/e tolerated (and clamped) as rounding from callers that
-    compute z = -ln(b) in floating point.
+    rel_tol (finite, > 0) is applied as residual <= rel_tol * max(1, |z|);
+    values below ~1e-15 sit under the floating-point noise floor of w*e**w
+    and will trigger ConvergenceError.  branch_point_window (finite, >= 0)
+    is the absolute slack below -1/e tolerated (and clamped) as rounding
+    from callers that compute z = -ln(b) in floating point.  Any other
+    value raises DomainError.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if not self.rel_tol > 0.0:
-            raise DomainError(f"rel_tol must be positive, got {self.rel_tol}")
+        if not 0.0 < self.rel_tol < math.inf:
+            raise DomainError(f"rel_tol must be positive and finite, got {self.rel_tol}")
         if self.max_iter < 1:
             raise DomainError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.branch_point_window < 0.0:
-            raise DomainError(f"branch_point_window must be >= 0, got {self.branch_point_window}")
+        if not 0.0 <= self.branch_point_window < math.inf:
+            raise DomainError(
+                f"branch_point_window must be finite and >= 0, got {self.branch_point_window}"
+            )
         return self
 
     # The inherited _make, and so _replace, would build the tuple without __new__.
@@ -218,6 +221,39 @@ def _in_range(w: float, branch: BranchId) -> bool:
     return w >= -1.0 if branch is BranchId.W0 else w <= -1.0
 
 
+def _halley(
+    z: float, branch: BranchId, w: float, tol: float, budget: int, stall_limit: float
+) -> tuple[float, int, float | None]:
+    """Up to budget Halley steps on f(w) = w*e**w - z; returns (w, steps, residual).
+
+    residual is |f(w)| once it meets tol, else None: a step left the half-line
+    or had no usable denominator, |f| stalled stall_limit times, or the budget
+    ran out (the last w is then untested).
+    """
+    steps = 0
+    prev_abs_f = math.inf
+    stalls = 0
+    for _ in range(budget):
+        f = _wexp_clipped(w) - z
+        if abs(f) <= tol:
+            return w, steps, abs(f)
+        if abs(f) >= prev_abs_f:
+            stalls += 1
+            if stalls >= stall_limit:
+                break
+        prev_abs_f = abs(f)
+        ew = math.exp(w)
+        denom = ew * (w + 1.0) - (w + 2.0) * f / (2.0 * (w + 1.0)) if w != -1.0 else 0.0
+        if denom == 0.0 or not math.isfinite(denom):
+            break
+        steps += 1
+        w_next = w - f / denom
+        if not _in_range(w_next, branch):
+            break
+        w = w_next
+    return w, steps, None
+
+
 def eval_w(z: float, branch: BranchId, config: EvalConfig = DEFAULT_CONFIG) -> EvalResult:
     """Evaluate the requested real branch of W at z.
 
@@ -236,52 +272,18 @@ def eval_w(z: float, branch: BranchId, config: EvalConfig = DEFAULT_CONFIG) -> E
         return EvalResult(z=z, branch=branch, w=w, residual=abs(_wexp_clipped(w) - z), iterations=0)
 
     tol = config.rel_tol * max(1.0, abs(z))
-    w = initial_guess(z, branch)
-    iterations = 0
-    prev_abs_f = math.inf
-    stalls = 0
-
-    for _ in range(config.max_iter):
-        f = _wexp_clipped(w) - z
-        if abs(f) <= tol:
-            return EvalResult(z=z, branch=branch, w=w, residual=abs(f), iterations=iterations)
-        if abs(f) >= prev_abs_f:
-            stalls += 1
-            if stalls >= 2:
-                break
-        prev_abs_f = abs(f)
-        ew = math.exp(w)
-        denom = ew * (w + 1.0) - (w + 2.0) * f / (2.0 * (w + 1.0)) if w != -1.0 else 0.0
-        if denom == 0.0 or not math.isfinite(denom):
-            break
-        iterations += 1
-        w_next = w - f / denom
-        if not _in_range(w_next, branch):
-            break
-        w = w_next
-
-    # Halley left the half-line, stalled, or ran out of budget: bisection
-    # still terminates, then one Halley polish step recovers full precision.
-    w, steps = _bisect_refine(z, branch)
-    iterations += steps
-    for _ in range(3):
-        f = _wexp_clipped(w) - z
-        if abs(f) <= tol:
-            return EvalResult(z=z, branch=branch, w=w, residual=abs(f), iterations=iterations)
-        ew = math.exp(w)
-        denom = ew * (w + 1.0) - (w + 2.0) * f / (2.0 * (w + 1.0)) if w != -1.0 else 0.0
-        if denom == 0.0 or not math.isfinite(denom):
-            break
-        iterations += 1
-        w_next = w - f / denom
-        if not _in_range(w_next, branch):
-            break
-        w = w_next
-
-    f = _wexp_clipped(w) - z
-    if abs(f) <= tol:
-        return EvalResult(z=z, branch=branch, w=w, residual=abs(f), iterations=iterations)
-    raise ConvergenceError(
-        f"eval_w({z!r}, {branch.label}) residual {abs(f):.3e} exceeds "
-        f"{tol:.3e} after {iterations} refinement steps"
-    )
+    w, iterations, residual = _halley(z, branch, initial_guess(z, branch), tol, config.max_iter, 2)
+    if residual is None:
+        # Halley left the half-line, stalled, or ran out of budget: bisection
+        # still terminates, then up to 3 Halley steps polish to full precision.
+        w, steps = _bisect_refine(z, branch)
+        w, polish, residual = _halley(z, branch, w, tol, 3, math.inf)
+        iterations += steps + polish
+        if residual is None:
+            residual = abs(_wexp_clipped(w) - z)
+            if not residual <= tol:
+                raise ConvergenceError(
+                    f"eval_w({z!r}, {branch.label}) residual {residual:.3e} exceeds "
+                    f"{tol:.3e} after {iterations} refinement steps"
+                )
+    return EvalResult(z=z, branch=branch, w=w, residual=residual, iterations=iterations)

@@ -55,6 +55,12 @@ class TestEvalCommand:
         assert code == EXIT_CONVERGENCE
         assert "residual" in err
 
+    def test_infinite_tolerance_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "--z", "5", "--branch", "0", "--tol", "inf")
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert "rel_tol" in err
+
     def test_csv_format(self, capsys):
         _, out, _ = run_cli(capsys, "eval", "--z", "1", "--branch", "0", "--format", "csv")
         lines = out.splitlines()

@@ -109,7 +109,16 @@ class TestEvalConfig:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"rel_tol": 0.0}, {"rel_tol": -1e-3}, {"max_iter": 0}, {"branch_point_window": -1e-12}],
+        [
+            {"rel_tol": 0.0},
+            {"rel_tol": -1e-3},
+            {"rel_tol": math.inf},
+            {"rel_tol": math.nan},
+            {"max_iter": 0},
+            {"branch_point_window": -1e-12},
+            {"branch_point_window": math.inf},
+            {"branch_point_window": math.nan},
+        ],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(DomainError):
