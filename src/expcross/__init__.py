@@ -25,7 +25,6 @@ from .lambertw import (
     EvalResult,
     branch_point_series,
     eval_w,
-    initial_guess,
     wexp,
 )
 from .oracle import (
@@ -48,7 +47,6 @@ __all__ = [
     "EvalConfig",
     "EvalResult",
     "wexp",
-    "initial_guess",
     "branch_point_series",
     "eval_w",
     "IntersectionClass",

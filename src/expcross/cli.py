@@ -20,7 +20,7 @@ from .compare import DEFAULT_ABS_TOL, DEFAULT_SCAN_N, compare_with_closed_form
 from .errors import ConvergenceError, DomainError, StateError
 from .figures import DEFAULT_SAMPLES, FIGURE_NAMES, custom_samples, figure_samples, write_csv
 from .intersect import IntersectionPoint, diagonal_intersections
-from .lambertw import BranchId, EvalConfig, eval_w
+from .lambertw import DEFAULT_CONFIG, BranchId, EvalConfig, eval_w
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -90,8 +90,7 @@ def _run_eval(args: argparse.Namespace) -> None:
 
 
 def _run_intersect(args: argparse.Namespace) -> None:
-    config = EvalConfig()
-    report = diagonal_intersections(args.base, config)
+    report = diagonal_intersections(args.base)
     fields = {"b": report.b, "z": report.z, "class": report.classification.value}
 
     def lines() -> Iterator[str]:
@@ -106,7 +105,7 @@ def _run_intersect(args: argparse.Namespace) -> None:
         "command": "intersect",
         **fields,
         "points": [p._asdict() for p in report.points],
-        "config": config._asdict(),
+        "config": DEFAULT_CONFIG._asdict(),
     }
     header = (*fields, *IntersectionPoint._fields)
     rows = ((*fields.values(), *p) for p in report.points)

@@ -10,7 +10,6 @@ off-diagonal intersections the bisectrix argument does not produce.
 from typing import NamedTuple
 
 from .intersect import diagonal_intersections
-from .lambertw import DEFAULT_CONFIG, EvalConfig
 from .oracle import all_intersections_numeric
 
 __all__ = ["ComparisonVerdict", "default_x_max", "compare_with_closed_form"]
@@ -57,18 +56,14 @@ def _greedy_match(
 
 
 def compare_with_closed_form(
-    b: float,
-    x_max: float | None = None,
-    n: int = DEFAULT_SCAN_N,
-    abs_tol: float = DEFAULT_ABS_TOL,
-    config: EvalConfig = DEFAULT_CONFIG,
+    b: float, x_max: float | None = None, n: int = DEFAULT_SCAN_N
 ) -> ComparisonVerdict:
     """Run both routes for base b and report matched pairs and mismatches."""
-    report = diagonal_intersections(b, config)
+    report = diagonal_intersections(b)
     closed = tuple(p.x for p in report.points)
     if x_max is None:
         x_max = default_x_max(closed)
-    oracle_roots = tuple(all_intersections_numeric(b, x_max, n, abs_tol))
+    oracle_roots = tuple(all_intersections_numeric(b, x_max, n, DEFAULT_ABS_TOL))
     pairs = tuple(_greedy_match(oracle_roots, closed))
     deltas = tuple(abs(o - c) for o, c in pairs)
     return ComparisonVerdict(

@@ -98,8 +98,9 @@ def custom_samples(
         x_max = max(5.0, *(1.3 * p.x for p in points)) if points else 5.0
     if x_min is None:
         x_min = -2.0
-    if not x_min < x_max:
-        raise DomainError(f"need x_min < x_max, got [{x_min!r}, {x_max!r}]")
+    # A finite width also rules out infinite bounds.
+    if not (x_min < x_max and math.isfinite(x_max - x_min)):
+        raise DomainError(f"need finite x_min < x_max, got [{x_min!r}, {x_max!r}]")
     # Keep the exponential series finite and plottable.
     exp_hi = x_max
     if b > 1.0:

@@ -21,11 +21,10 @@ import math
 from typing import NamedTuple
 
 from .errors import DomainError, StateError
-from .lambertw import DEFAULT_CONFIG, BranchId, EvalConfig, eval_w
+from .lambertw import BranchId, eval_w
 
 __all__ = [
     "TANGENT_BASE",
-    "DEFAULT_CLASS_TOL",
     "IntersectionClass",
     "IntersectionPoint",
     "IntersectionReport",
@@ -39,10 +38,10 @@ __all__ = [
 #: The tangency base e**(1/e); above it the graphs never meet.
 TANGENT_BASE = math.exp(1.0 / math.e)
 
-#: Relative half-width of the snap bands around b = 1 (excluded) and
-#: b = e**(1/e) (classified Tangent).  Exact equality with the irrational
-#: tangency base is unattainable in binary64.
-DEFAULT_CLASS_TOL = 1e-9
+# Relative half-width of the snap bands around b = 1 (excluded) and
+# b = e**(1/e) (classified Tangent).  Exact equality with the irrational
+# tangency base is unattainable in binary64.
+_CLASS_TOL = 1e-9
 
 
 class IntersectionClass(enum.Enum):
@@ -79,17 +78,17 @@ def base_to_z(b: float) -> float:
     return -math.log(b)
 
 
-def classify_base(b: float, class_tol: float = DEFAULT_CLASS_TOL) -> IntersectionClass:
+def classify_base(b: float) -> IntersectionClass:
     """Assign b to its intersection regime.
 
-    Bases within class_tol (relative) of the tangency base snap to
-    Tangent; bases within class_tol of 1 are rejected as DomainError.
+    Bases within _CLASS_TOL = 1e-9 (relative) of the tangency base snap
+    to Tangent; bases within _CLASS_TOL of 1 are rejected as DomainError.
     """
     if not math.isfinite(b) or b <= 0.0:
         raise DomainError(f"base must be positive, got {b!r}")
-    if abs(b - 1.0) <= class_tol:
-        raise DomainError(f"base {b!r} is within {class_tol} of 1; no inverse exists")
-    if abs(b - TANGENT_BASE) <= class_tol * TANGENT_BASE:
+    if abs(b - 1.0) <= _CLASS_TOL:
+        raise DomainError(f"base {b!r} is within {_CLASS_TOL} of 1; no inverse exists")
+    if abs(b - TANGENT_BASE) <= _CLASS_TOL * TANGENT_BASE:
         return IntersectionClass.TANGENT
     if b < 1.0:
         return IntersectionClass.UNIQUE_DIAGONAL
@@ -102,26 +101,22 @@ def _point(b: float, x: float, source: str) -> IntersectionPoint:
     return IntersectionPoint(x=x, y=x, source_branch=source, residual=abs(b**x - x))
 
 
-def diagonal_intersections(
-    b: float,
-    config: EvalConfig = DEFAULT_CONFIG,
-    class_tol: float = DEFAULT_CLASS_TOL,
-) -> IntersectionReport:
+def diagonal_intersections(b: float) -> IntersectionReport:
     """Solve b**x = log_b(x) on the bisectrix, in closed form.
 
     Points are ordered by ascending x, so in the two-point regime the
     W0-sourced point (|W0| < |Wm1|, divided by ln b > 0) comes first.
     """
-    classification = classify_base(b, class_tol)
+    classification = classify_base(b)
     z = base_to_z(b)
 
     if classification is IntersectionClass.UNIQUE_DIAGONAL:
-        x = eval_w(z, BranchId.W0, config).w / z
+        x = eval_w(z, BranchId.W0).w / z
         points = (_point(b, x, "W0"),)
     elif classification is IntersectionClass.TWO_POINTS:
         ln_b = math.log(b)
-        x0 = -eval_w(z, BranchId.W0, config).w / ln_b
-        x1 = -eval_w(z, BranchId.WM1, config).w / ln_b
+        x0 = -eval_w(z, BranchId.W0).w / ln_b
+        x1 = -eval_w(z, BranchId.WM1).w / ln_b
         points = (_point(b, x0, "W0"), _point(b, x1, "Wm1"))
     elif classification is IntersectionClass.TANGENT:
         points = (_point(b, math.e, "tangency"),)
@@ -138,12 +133,12 @@ def bisectrix_slope(b: float) -> float:
     return math.log(b) * b**math.e
 
 
-def tangency_certificate(b: float, class_tol: float = DEFAULT_CLASS_TOL) -> float:
+def tangency_certificate(b: float) -> float:
     """Slope of b**x at x = e for a base in the Tangent regime.
 
     Tangency to the bisectrix means this slope equals 1.  Raises
     StateError when b is not classified Tangent.
     """
-    if classify_base(b, class_tol) is not IntersectionClass.TANGENT:
+    if classify_base(b) is not IntersectionClass.TANGENT:
         raise StateError(f"base {b!r} is not in the tangency regime")
     return bisectrix_slope(b)

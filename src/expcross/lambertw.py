@@ -23,7 +23,6 @@ __all__ = [
     "EvalConfig",
     "EvalResult",
     "wexp",
-    "initial_guess",
     "branch_point_series",
     "eval_w",
 ]
@@ -65,10 +64,11 @@ class EvalConfig(_EvalConfigFields):
 
     rel_tol (finite, > 0) is applied as residual <= rel_tol * max(1, |z|);
     values below ~1e-15 sit under the floating-point noise floor of w*e**w
-    and will trigger ConvergenceError.  branch_point_window (finite, >= 0)
-    is the absolute slack below -1/e tolerated (and clamped) as rounding
-    from callers that compute z = -ln(b) in floating point.  Any other
-    value raises DomainError.
+    and will trigger ConvergenceError.  max_iter (an int >= 1) is the
+    Halley step budget before the bisection fallback.  branch_point_window
+    (finite, >= 0) is the absolute slack below -1/e tolerated (and clamped)
+    as rounding from callers that compute z = -ln(b) in floating point.
+    Any other value raises DomainError.
     """
 
     __slots__ = ()
@@ -77,8 +77,8 @@ class EvalConfig(_EvalConfigFields):
         self = super().__new__(cls, *args, **kwargs)
         if not 0.0 < self.rel_tol < math.inf:
             raise DomainError(f"rel_tol must be positive and finite, got {self.rel_tol}")
-        if self.max_iter < 1:
-            raise DomainError(f"max_iter must be >= 1, got {self.max_iter}")
+        if not (isinstance(self.max_iter, int) and self.max_iter >= 1):
+            raise DomainError(f"max_iter must be an integer >= 1, got {self.max_iter}")
         if not 0.0 <= self.branch_point_window < math.inf:
             raise DomainError(
                 f"branch_point_window must be finite and >= 0, got {self.branch_point_window}"
@@ -152,8 +152,8 @@ def _check_domain(z: float, branch: BranchId, window: float) -> float:
     return max(z, BRANCH_POINT_Z)
 
 
-def initial_guess(z: float, branch: BranchId) -> float:
-    """Region-dependent starting value for the Halley refinement.
+def _initial_guess(z: float, branch: BranchId) -> float:
+    """Region-dependent starting value for the Halley refinement of a z in the domain.
 
     Near the branch point both branches use branch_point_series.  W0 uses
     ln(z) - ln(ln(z)) for large z and z itself for small |z|; W-1 uses
@@ -161,7 +161,6 @@ def initial_guess(z: float, branch: BranchId) -> float:
     stays on the w <= -1 half-line and lands in the Halley basin across
     the whole mid-range).
     """
-    z = _check_domain(z, branch, DEFAULT_CONFIG.branch_point_window)
     if math.e * z + 1.0 < _SERIES_CUT:
         return branch_point_series(z, branch)
     if branch is BranchId.W0:
@@ -272,7 +271,7 @@ def eval_w(z: float, branch: BranchId, config: EvalConfig = DEFAULT_CONFIG) -> E
         return EvalResult(z=z, branch=branch, w=w, residual=abs(_wexp_clipped(w) - z), iterations=0)
 
     tol = config.rel_tol * max(1.0, abs(z))
-    w, iterations, residual = _halley(z, branch, initial_guess(z, branch), tol, config.max_iter, 2)
+    w, iterations, residual = _halley(z, branch, _initial_guess(z, branch), tol, config.max_iter, 2)
     if residual is None:
         # Halley left the half-line, stalled, or ran out of budget: bisection
         # still terminates, then up to 3 Halley steps polish to full precision.

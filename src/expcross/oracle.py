@@ -10,7 +10,7 @@ import math
 from functools import lru_cache
 from itertools import repeat
 from operator import lt, sub, truediv
-from typing import Iterator, NamedTuple, Union
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import DomainError
 
@@ -18,7 +18,6 @@ __all__ = [
     "WResidual",
     "DiagonalGap",
     "FullGap",
-    "ScalarFnSpec",
     "RootBracket",
     "scan_sign_changes",
     "bisect",
@@ -62,9 +61,6 @@ class FullGap(NamedTuple):
             return math.inf
 
 
-ScalarFnSpec = Union[WResidual, DiagonalGap, FullGap]
-
-
 class _RootBracketFields(NamedTuple):
     lo: float
     hi: float
@@ -94,7 +90,9 @@ class RootBracket(_RootBracketFields):
     _make = classmethod(lambda cls, iterable: cls(*iterable))
 
 
-def scan_sign_changes(spec: ScalarFnSpec, lo: float, hi: float, n: int) -> list[RootBracket]:
+def scan_sign_changes(
+    spec: Callable[[float], float], lo: float, hi: float, n: int
+) -> list[RootBracket]:
     """Evaluate spec at n+1 uniform nodes and bracket every sign change.
 
     Exact zeros at nodes yield degenerate [x, x] brackets and suppress the
@@ -186,7 +184,7 @@ def _find_all(data: bytes, pattern: bytes) -> Iterator[int]:
         i = data.find(pattern, i + 1)
 
 
-def bisect(spec: ScalarFnSpec, bracket: RootBracket, abs_tol: float) -> float:
+def bisect(spec: Callable[[float], float], bracket: RootBracket, abs_tol: float) -> float:
     """Pure interval halving down to width abs_tol; returns the midpoint.
 
     Deterministic and derivative-free by design: the oracle must not share

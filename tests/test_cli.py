@@ -212,6 +212,17 @@ class TestPlotCommand:
         assert code == EXIT_OK
         assert "wrote" in out
 
+    @pytest.mark.parametrize("bound", [("--x-max", "inf"), ("--x-min", "-inf")])
+    def test_custom_infinite_window_exits_2(self, capsys, tmp_path, bound):
+        out_path = tmp_path / "custom.csv"
+        code, out, err = run_cli(
+            capsys, "plot", "--figure", "custom", "--base", "0.5", *bound, "--out", str(out_path)
+        )
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert "finite" in err
+        assert not out_path.exists()
+
     def test_bad_figure_name_exits_64(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["plot", "--figure", "fig9", "--out", "/tmp/x.csv"])

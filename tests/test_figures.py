@@ -97,6 +97,15 @@ def test_custom_rejects_empty_window():
         custom_samples(1.3, x_min=5.0, x_max=1.0)
 
 
+@pytest.mark.parametrize(
+    "window", [(-2.0, math.inf), (-math.inf, 5.0), (-1e308, 1e308), (0.0, math.nan)]
+)
+def test_custom_rejects_infinite_window(window):
+    # (-1e308, 1e308) has finite ends but a width that overflows
+    with pytest.raises(DomainError):
+        custom_samples(0.5, *window)
+
+
 def test_write_csv_round_trips():
     rows = figure_samples("fig4", samples=10)
     buffer = io.StringIO()
