@@ -28,6 +28,8 @@ class CurveSample(NamedTuple):
 def _grid(lo: float, hi: float, samples: int) -> list[float]:
     if samples < 2:
         raise DomainError(f"need at least 2 samples per series, got {samples}")
+    if not lo < hi:  # custom's exp window, clamped away entirely
+        return []
     step = (hi - lo) / (samples - 1)
     return [lo + i * step for i in range(samples - 1)] + [hi]
 
@@ -101,12 +103,15 @@ def custom_samples(
     # A finite width also rules out infinite bounds.
     if not (x_min < x_max and math.isfinite(x_max - x_min)):
         raise DomainError(f"need finite x_min < x_max, got [{x_min!r}, {x_max!r}]")
-    # Keep the exponential series finite and plottable.
-    exp_hi = x_max
+    # Keep the exponential series plottable: b**x <= 1e6 from x = ln(1e6)/ln(b)
+    # down for b > 1, and up for b < 1.
+    exp_lo, exp_hi = x_min, x_max
     if b > 1.0:
         exp_hi = min(exp_hi, math.log(1e6) / math.log(b))
+    else:
+        exp_lo = max(exp_lo, math.log(1e6) / math.log(b))
     log_lo = max(x_min, 1e-3)
-    return _base_figure(b, points, (x_min, exp_hi), (log_lo, x_max), (x_min, x_max), samples)
+    return _base_figure(b, points, (exp_lo, exp_hi), (log_lo, x_max), (x_min, x_max), samples)
 
 
 def write_csv(rows: Iterable[CurveSample], stream: TextIO) -> None:

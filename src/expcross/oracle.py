@@ -7,9 +7,10 @@ modes; tests enforce that structurally.
 """
 
 import math
+import sys
 from functools import lru_cache
 from itertools import repeat
-from operator import lt, sub, truediv
+from operator import sub, truediv
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import DomainError
@@ -23,6 +24,10 @@ __all__ = [
     "bisect",
     "all_intersections_numeric",
 ]
+
+# Offset of each double's sign-and-exponent byte, and that byte -> its sign bit.
+_HIGH = 7 if sys.byteorder == "little" else 0
+_SIGN_BIT = bytes(128) + b"\x01" * 128
 
 
 class WResidual(NamedTuple):
@@ -104,10 +109,14 @@ def scan_sign_changes(
     overflows, the value is inf, as in spec(x).  The nodes and their logs do
     not depend on b: those of the last FullGap window (lo, hi, n) are kept,
     two tuples of n+1 floats (~1.3 MB at n = 20000), for the next base on it.
-    Only the panels whose ends differ in f < 0, the exact zeros and, when the
-    sum of the values is not finite, the non-finite nodes are then visited
-    one by one, under the rules above.  f_lo * f_hi < 0.0 stays the final
-    test, so a sign change whose product underflows to zero brackets nothing.
+    The values are then packed once (struct, imported on the first scan) and
+    each double's high byte gives its sign bit.  Only the panels whose ends
+    differ in sign bit, and the nodes whose high byte is that of a zero
+    (0x00, 0x80) or of a non-finite value (0x7F, 0xFF), are visited one by
+    one, under the rules above.  The sign bit differs from f < 0 only on
+    -0.0 and on a NaN with the sign set; both only add panels the rules
+    reject.  f_lo * f_hi < 0.0 stays the final test, so a sign change whose
+    product underflows to zero brackets nothing.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
         raise DomainError(f"scan interval needs lo < hi, got [{lo!r}, {hi!r}]")
@@ -123,9 +132,12 @@ def scan_sign_changes(
         xs = _nodes(lo, hi, n)
         fs = list(map(spec, xs))
 
-    neg = bytes(map(lt, fs, repeat(0.0)))
+    import struct  # ~1 ms to import; bare `import expcross` does not need it
+
+    high = struct.pack(f"{len(fs)}d", *fs)[_HIGH::8]
+    neg = high.translate(_SIGN_BIT)
     candidates = [*_find_all(neg, b"\x00\x01"), *_find_all(neg, b"\x01\x00")]
-    if fs.count(0.0):
+    if b"\x00" in high or b"\x80" in high:  # +-0.0, or a value below 2**-1007
         candidates += [i for i, f in enumerate(fs) if f == 0.0]
 
     brackets: list[RootBracket] = []
@@ -137,7 +149,9 @@ def scan_sign_changes(
         f_j = fs[i + 1]
         if math.isfinite(f_i) and math.isfinite(f_j) and f_j != 0.0 and f_i * f_j < 0.0:
             brackets.append(RootBracket(lo=xs[i], hi=xs[i + 1], f_lo=f_i, f_hi=f_j))
-    skipped = 0 if math.isfinite(sum(fs)) else len(fs) - sum(map(math.isfinite, fs))
+    skipped = 0
+    if b"\x7f" in high or b"\xff" in high:  # +-inf, nan, or a value from 2**1009 up
+        skipped = len(fs) - sum(map(math.isfinite, fs))
     if skipped:  # logging takes milliseconds to import; only this rare path needs it
         import logging
 
@@ -167,7 +181,7 @@ def _full_gap_values(b: float, xs: tuple[float, ...], logs: tuple[float, ...]) -
     # ascending grid; FullGap(b)(x) is inf there.
     powers: list[float] = []
     try:
-        powers.extend(map(pow, repeat(b), xs))
+        powers.extend(map(math.pow, repeat(b), xs))
     except OverflowError:
         pass
     # Divide as spec(x) does: a product with 1/ln_b rounds differently.

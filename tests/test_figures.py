@@ -92,6 +92,23 @@ def test_custom_tiny_base_drops_overflowing_samples():
     assert all(math.isfinite(r.x) and math.isfinite(r.y) for r in rows)
 
 
+def test_custom_large_base_clamp_below_window_empties_exp_series():
+    # ln(1e6)/ln(1e10) = 0.6 < x_min: no x in [2, 5] has b**x <= 1e6
+    rows = custom_samples(1e10, 2.0, 5.0, 10)
+    assert series_of(rows, "exp") == []
+    assert all(2.0 <= r.x <= 5.0 for r in rows)
+    assert len(series_of(rows, "log")) == len(series_of(rows, "bisectrix")) == 10
+
+
+def test_custom_small_base_clamps_low_end_of_exp_series():
+    # b**x <= 1e6 from x = ln(1e6)/ln(0.5) = -19.93... up
+    rows = custom_samples(0.5, -1e6, 5.0, 10)
+    exp = series_of(rows, "exp")
+    assert len(exp) == 10
+    assert exp[0].x == pytest.approx(math.log(1e6) / math.log(0.5)) and exp[-1].x == 5.0
+    assert all(r.y <= 1e6 for r in exp)
+
+
 def test_custom_rejects_empty_window():
     with pytest.raises(DomainError):
         custom_samples(1.3, x_min=5.0, x_max=1.0)

@@ -261,6 +261,29 @@ class TestScanBitIdentity:
             _assert_scan_matches_per_node(caplog, DiagonalGap(b), -5.0, 5.0, 1000)
             _assert_scan_matches_per_node(caplog, DiagonalGap(b), -2000.0, 2000.0, 4000)
 
+    # (values at nodes 0, 1, ...; (brackets, skipped)): the sign bit and f < 0
+    # differ on -0.0 and -nan; 0x00/0x80 and 0x7F/0xFF high bytes also belong
+    # to subnormals and to huge finite values.
+    SIGN_BIT_CASES = [
+        ([-0.0, 1.0, -0.0, -1.0, 0.0, -1.0, 1.0, -0.0], (5, 0)),
+        ([0.0, 1.0, 0.0, 1.0, 0.0], (3, 0)),
+        ([-0.0, -1.0, -0.0, -2.0, -0.0], (3, 0)),
+        ([-1.0, -0.0, 1.0, 0.0, -1.0], (2, 0)),
+        ([math.nan, 1.0, -1.0, -math.nan, 1.0, math.inf, -1.0, -math.inf, -math.nan], (1, 5)),
+        ([-1.0, -math.inf, -2.0, -math.nan, -1.0], (0, 2)),
+        ([1.0, math.nan, 1.0, math.inf], (0, 2)),
+        ([1e308, -1e308, 1e308, 1.0, -1e308], (3, 0)),
+        ([5e-324, -5e-324, 5e-324, 2.0, -5e-324, 2.0, 5e-324], (2, 0)),
+    ]
+
+    @pytest.mark.parametrize("values, counts", SIGN_BIT_CASES)
+    def test_sign_bit_edge_values(self, caplog, values, counts):
+        def spec(x):
+            return values[int(x)]
+
+        n = len(values) - 1
+        assert _assert_scan_matches_per_node(caplog, spec, 0.0, float(n), n) == counts
+
     def test_overflowing_base_is_not_evaluated_per_node(self, caplog, monkeypatch):
         calls = []
         call = FullGap.__call__
