@@ -21,7 +21,6 @@ from .intersect import (
 from .lambertw import (
     BRANCH_POINT_Z,
     BranchId,
-    EvalConfig,
     EvalResult,
     branch_point_series,
     eval_w,
@@ -44,7 +43,6 @@ __all__ = [
     "BRANCH_POINT_Z",
     "TANGENT_BASE",
     "BranchId",
-    "EvalConfig",
     "EvalResult",
     "wexp",
     "branch_point_series",

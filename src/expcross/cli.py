@@ -2,9 +2,9 @@
 
 Subcommands: eval (one W value), intersect (closed-form report), oracle
 (brute-force cross-check), plot (figure data as CSV).  Exit codes are
-stable: 0 success, 2 domain error, 3 convergence failure, 64 usage.
+stable: 0 success, 2 domain error, 3 eval_w's ConvergenceError, 64 usage.
 Output is deterministic: no timestamps, `.` decimal point, floats as
-shortest round-trip repr.
+shortest round-trip repr; of the JSON payloads only oracle's has a config.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .compare import DEFAULT_ABS_TOL, DEFAULT_SCAN_N, compare_with_closed_form
 from .errors import ConvergenceError, DomainError, StateError
 from .figures import DEFAULT_SAMPLES, FIGURE_NAMES, custom_samples, figure_samples, write_csv
 from .intersect import IntersectionPoint, diagonal_intersections
-from .lambertw import DEFAULT_CONFIG, BranchId, EvalConfig, eval_w
+from .lambertw import BranchId, eval_w
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -80,10 +80,9 @@ def _emit(
 
 
 def _run_eval(args: argparse.Namespace) -> None:
-    config = EvalConfig(rel_tol=args.tol, max_iter=args.max_iter)
-    result = eval_w(args.z, BranchId(args.branch), config)
+    result = eval_w(args.z, BranchId(args.branch))
     fields = {**result._asdict(), "branch": int(result.branch)}
-    payload = {"command": "eval", **fields, "config": config._asdict()}
+    payload = {"command": "eval", **fields}
     plain = {**fields, "branch": result.branch.label}
     lines = (f"{name:<10} {_fmt(value)}" for name, value in plain.items())
     _emit(args.format, payload, tuple(fields), (fields.values(),), lines)
@@ -101,12 +100,7 @@ def _run_intersect(args: argparse.Namespace) -> None:
         for x, y, source, residual in report.points:
             yield f"  x={_fmt(x)} y={_fmt(y)} source={source} residual={_fmt(residual)}"
 
-    payload = {
-        "command": "intersect",
-        **fields,
-        "points": [p._asdict() for p in report.points],
-        "config": DEFAULT_CONFIG._asdict(),
-    }
+    payload = {"command": "intersect", **fields, "points": [p._asdict() for p in report.points]}
     header = (*fields, *IntersectionPoint._fields)
     rows = ((*fields.values(), *p) for p in report.points)
     _emit(args.format, payload, header, rows, lines())
@@ -176,12 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=(0, -1),
         required=True,
         help="0 for the principal branch W0, -1 for W-1",
-    )
-    p_eval.add_argument(
-        "--tol", type=float, default=1e-14, help="relative residual tolerance (default 1e-14)"
-    )
-    p_eval.add_argument(
-        "--max-iter", type=int, default=50, help="Halley iteration budget (default 50)"
     )
     p_eval.add_argument("--format", choices=FORMATS, default="plain")
     p_eval.set_defaults(run=_run_eval)

@@ -8,8 +8,9 @@ class DomainError(ValueError):
 class ConvergenceError(RuntimeError):
     """An iteration failed to meet its accuracy target.
 
-    This signals a defect in the solver (bad seed region, tolerance below
-    the floating-point noise floor), not a misuse by the caller.
+    This signals a defect in the solver, not a misuse by the caller: eval_w
+    raises it when Halley's iteration stops short of its fixed residual
+    bound, as it does for many W0 arguments above ~5e57.
     """
 
 

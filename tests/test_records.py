@@ -1,8 +1,8 @@
 """Result records are immutable named tuples, and importing the package is cheap.
 
 The records' contract: field names, order, defaults and repr text as
-before; every attribute read-only; EvalConfig and RootBracket validate on
-every construction path, _make and _replace included.  Importing the
+before; every attribute read-only; RootBracket validates on every
+construction path, _make and _replace included.  Importing the
 package (or its CLI) loads neither dataclasses, inspect, logging nor
 struct; the oracle imports logging only when a scan has a warning to log,
 and struct on its first scan.
@@ -21,7 +21,6 @@ from expcross import (
     BranchId,
     ComparisonVerdict,
     DiagonalGap,
-    EvalConfig,
     EvalResult,
     FullGap,
     IntersectionClass,
@@ -38,7 +37,6 @@ SKIP_MSG = "scan_sign_changes: skipped %d node(s) with non-finite values"
 
 POINT = IntersectionPoint(x=1.5, y=1.5, source_branch="W0", residual=0.0)
 RECORDS = [
-    EvalConfig(),
     EvalResult(z=1.0, branch=BranchId.W0, w=0.5671432904097838, residual=0.0, iterations=3),
     WResidual(1.0),
     DiagonalGap(0.5),
@@ -66,8 +64,8 @@ def test_every_attribute_is_read_only(record):
 
 
 def test_repr_reads_as_before():
-    assert repr(EvalConfig()) == (
-        "EvalConfig(rel_tol=1e-14, max_iter=50, branch_point_window=1e-10)"
+    assert repr(EvalResult(z=1.0, branch=BranchId.W0, w=0.5, residual=0.0, iterations=3)) == (
+        "EvalResult(z=1.0, branch=<BranchId.W0: 0>, w=0.5, residual=0.0, iterations=3)"
     )
     assert repr(RootBracket(lo=1.0, hi=2.0, f_lo=-1.0, f_hi=0.5)) == (
         "RootBracket(lo=1.0, hi=2.0, f_lo=-1.0, f_hi=0.5)"
@@ -77,20 +75,12 @@ def test_repr_reads_as_before():
 def test_asdict_order_is_the_json_order(capsys):
     assert main(["intersect", "--base", "1.3", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert list(payload["config"]) == list(EvalConfig()._asdict())
-    assert list(payload["config"]) == ["rel_tol", "max_iter", "branch_point_window"]
+    assert list(payload) == ["command", "b", "z", "class", "points"]
     for point in payload["points"]:
         assert list(point) == list(POINT._asdict()) == ["x", "y", "source_branch", "residual"]
 
 
 class TestValidationOnEveryPath:
-    def test_eval_config(self):
-        with pytest.raises(DomainError, match="rel_tol"):
-            EvalConfig()._replace(rel_tol=0.0)
-        with pytest.raises(DomainError, match="max_iter"):
-            EvalConfig._make((1e-14, 0, 1e-10))
-        assert EvalConfig()._replace(max_iter=7) == EvalConfig(max_iter=7)
-
     def test_root_bracket(self):
         with pytest.raises(DomainError, match="lo < hi"):
             RootBracket._make((2.0, 1.0, -1.0, 1.0))
@@ -102,8 +92,9 @@ class TestValidationOnEveryPath:
 
 def test_records_are_tuples():
     # The deliberate contract: iterable, indexable, equal to plain tuples.
-    assert tuple(EvalConfig()) == (1e-14, 50, 1e-10)
-    assert EvalConfig() == (1e-14, 50, 1e-10)
+    result = EvalResult(z=1.0, branch=BranchId.W0, w=0.5, residual=0.0, iterations=3)
+    assert tuple(result) == (1.0, BranchId.W0, 0.5, 0.0, 3)
+    assert result == (1.0, 0, 0.5, 0.0, 3)
     assert POINT[0] == POINT.x == 1.5
     assert FullGap(2.0) == DiagonalGap(2.0)
 
