@@ -7,11 +7,7 @@ modes; tests enforce that structurally.
 """
 
 import math
-import sys
-from functools import lru_cache
-from itertools import repeat
-from operator import sub, truediv
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import DomainError
 
@@ -25,9 +21,8 @@ __all__ = [
     "all_intersections_numeric",
 ]
 
-# Offset of each double's sign-and-exponent byte, and that byte -> its sign bit.
-_HIGH = 7 if sys.byteorder == "little" else 0
-_SIGN_BIT = bytes(128) + b"\x01" * 128
+# Relative bound past which rounding cannot flip the sign of a FullGap value.
+_SLACK = 2.0**-44
 
 
 class WResidual(NamedTuple):
@@ -98,60 +93,54 @@ class RootBracket(_RootBracketFields):
 def scan_sign_changes(
     spec: Callable[[float], float], lo: float, hi: float, n: int
 ) -> list[RootBracket]:
-    """Evaluate spec at n+1 uniform nodes and bracket every sign change.
+    """Bracket every sign change of spec over the n+1 nodes lo + i*(hi-lo)/n.
 
-    Exact zeros at nodes yield degenerate [x, x] brackets and suppress the
-    adjacent panels (their products are zero, not sign changes).  Panels
-    touching a non-finite value are skipped; the skip count is logged.
+    The last node is hi itself.  Exact zeros at nodes yield degenerate
+    [x, x] brackets and suppress the adjacent panels (their products are
+    zero, not sign changes).  Panels touching a non-finite value are
+    skipped; the skip count is logged.  f_lo * f_hi < 0.0 is the final
+    test, so a sign change whose product underflows to zero brackets
+    nothing.
 
-    The nodes are evaluated and searched in whole-list passes.  FullGap is
-    computed as b**x - log(x)/ln(b) with ln(b) taken once; where b**x
-    overflows, the value is inf, as in spec(x).  The nodes and their logs do
-    not depend on b: those of the last FullGap window (lo, hi, n) are kept,
-    two tuples of n+1 floats (~1.3 MB at n = 20000), for the next base on it.
-    The values are then packed once (struct, imported on the first scan) and
-    each double's high byte gives its sign bit.  Only the panels whose ends
-    differ in sign bit, and the nodes whose high byte is that of a zero
-    (0x00, 0x80) or of a non-finite value (0x7F, 0xFF), are visited one by
-    one, under the rules above.  The sign bit differs from f < 0 only on
-    -0.0 and on a NaN with the sign set; both only add panels the rules
-    reject.  f_lo * f_hi < 0.0 stays the final test, so a sign change whose
-    product underflows to zero brackets nothing.
+    Any spec is evaluated at every node.  FullGap(b), computed as
+    b**x - log(x)/ln(b) with ln(b) taken once (inf where b**x overflows),
+    is evaluated at O(log n) nodes and gives the same brackets: h is
+    monotone on at most three runs of nodes, their ends found by the sign
+    of h' (and, for b < 1, of h'').  Binary search finds where each run
+    reaches its far sign; the rule above then runs only in windows of
+    nodes round those places, the run ends, and the first and last node.
+    Each window widens while its end node has |f| <= 2**-44 * (b**x +
+    |log_b x|): beyond that, rounding cannot flip the sign of f, so no
+    node left out can start or end a bracket.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
         raise DomainError(f"scan interval needs lo < hi, got [{lo!r}, {hi!r}]")
     if n < 2:
         raise DomainError(f"scan needs n >= 2 panels, got {n}")
-    if isinstance(spec, FullGap) and lo <= 0.0:
-        raise DomainError(f"FullGap is defined on x > 0, got lo={lo!r}")
+    step = (hi - lo) / n
+
+    def x_at(i: int) -> float:
+        return lo + i * step if i < n else hi
 
     if isinstance(spec, FullGap):
-        xs, logs = _log_grid(lo, hi, n)
-        fs = _full_gap_values(spec.b, xs, logs)
+        if lo <= 0.0:
+            raise DomainError(f"FullGap is defined on x > 0, got lo={lo!r}")
+        f_at, windows, skipped = _full_gap_windows(spec.b, x_at, n)
     else:
-        xs = _nodes(lo, hi, n)
-        fs = list(map(spec, xs))
-
-    import struct  # ~1 ms to import; bare `import expcross` does not need it
-
-    high = struct.pack(f"{len(fs)}d", *fs)[_HIGH::8]
-    neg = high.translate(_SIGN_BIT)
-    candidates = [*_find_all(neg, b"\x00\x01"), *_find_all(neg, b"\x01\x00")]
-    if b"\x00" in high or b"\x80" in high:  # +-0.0, or a value below 2**-1007
-        candidates += [i for i, f in enumerate(fs) if f == 0.0]
+        fs = [spec(x_at(i)) for i in range(n + 1)]
+        f_at, windows = fs.__getitem__, [(0, n)]
+        skipped = len(fs) - sum(map(math.isfinite, fs))
 
     brackets: list[RootBracket] = []
-    for i in sorted(set(candidates)):
-        f_i = fs[i]
-        if f_i == 0.0:
-            brackets.append(RootBracket(lo=xs[i], hi=xs[i], f_lo=0.0, f_hi=0.0))
-            continue
-        f_j = fs[i + 1]
-        if math.isfinite(f_i) and math.isfinite(f_j) and f_j != 0.0 and f_i * f_j < 0.0:
-            brackets.append(RootBracket(lo=xs[i], hi=xs[i + 1], f_lo=f_i, f_hi=f_j))
-    skipped = 0
-    if b"\x7f" in high or b"\xff" in high:  # +-inf, nan, or a value from 2**1009 up
-        skipped = len(fs) - sum(map(math.isfinite, fs))
+    for start, stop in windows:
+        for i in range(start, stop + 1):
+            f_i = f_at(i)
+            if f_i == 0.0:
+                brackets.append(RootBracket(lo=x_at(i), hi=x_at(i), f_lo=0.0, f_hi=0.0))
+            elif i < stop and math.isfinite(f_i):
+                f_j = f_at(i + 1)
+                if math.isfinite(f_j) and f_i * f_j < 0.0:
+                    brackets.append(RootBracket(lo=x_at(i), hi=x_at(i + 1), f_lo=f_i, f_hi=f_j))
     if skipped:  # logging takes milliseconds to import; only this rare path needs it
         import logging
 
@@ -161,41 +150,93 @@ def scan_sign_changes(
     return brackets
 
 
-def _nodes(lo: float, hi: float, n: int) -> list[float]:
-    step = (hi - lo) / n
-    return [lo + i * step for i in range(n)] + [hi]
+def _first(holds: Callable[[int], bool], i: int, j: int) -> int:
+    """The first index in [i, j) where holds is true, or j; holds must be monotone."""
+    while i < j:
+        mid = (i + j) // 2
+        if holds(mid):
+            j = mid
+        else:
+            i = mid + 1
+    return i
 
 
-# typed: xs[-1] is hi, so hi=50 and hi=50.0 must not share an entry.
-@lru_cache(maxsize=1, typed=True)
-def _log_grid(lo: float, hi: float, n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """FullGap's nodes and their logs, which do not depend on b: kept for the last window."""
-    xs = tuple(_nodes(lo, hi, n))
-    return xs, tuple(map(math.log, xs))
-
-
-def _full_gap_values(b: float, xs: tuple[float, ...], logs: tuple[float, ...]) -> list[float]:
-    """FullGap(b) at every node in one pass, bit-identical to FullGap(b)(x)."""
+def _full_gap_windows(
+    b: float, x_at: Callable[[int], float], n: int
+) -> tuple[Callable[[int], float], list[tuple[int, int]], int]:
+    """FullGap(b) at node i, the merged windows to scan, and the overflow count."""
+    if not math.isfinite(b) or b <= 0.0 or b == 1.0:
+        raise DomainError(f"base must be positive and != 1, got {b!r}")
     ln_b = math.log(b)
-    # b**x can overflow only for b > 1, so only on a suffix of the
-    # ascending grid; FullGap(b)(x) is inf there.
-    powers: list[float] = []
-    try:
-        powers.extend(map(math.pow, repeat(b), xs))
-    except OverflowError:
-        pass
-    # Divide as spec(x) does: a product with 1/ln_b rounds differently.
-    fs = list(map(sub, powers, map(truediv, logs, repeat(ln_b))))
-    fs.extend(repeat(math.inf, len(xs) - len(fs)))
-    return fs
+    nodes: dict[int, tuple[float, float, float]] = {}
 
+    def node(i: int) -> tuple[float, float, float]:
+        """(h, h', rounding slack of h) at node i; h is inf where b**x overflows."""
+        got = nodes.get(i)
+        if got is None:
+            x = x_at(i)
+            try:
+                p = math.pow(b, x)
+            except OverflowError:
+                got = (math.inf, math.inf, 0.0)
+            else:
+                t = math.log(x) / ln_b
+                got = (p - t, ln_b * p - 1.0 / x / ln_b, _SLACK * (p + abs(t)))
+            nodes[i] = got
+        return got
 
-def _find_all(data: bytes, pattern: bytes) -> Iterator[int]:
-    """Start of every occurrence of two distinct bytes (they cannot overlap)."""
-    i = data.find(pattern)
-    while i >= 0:
-        yield i
-        i = data.find(pattern, i + 1)
+    def f_at(i: int) -> float:
+        return node(i)[0]
+
+    def rising(i: int) -> bool:
+        return node(i)[1] > 0.0
+
+    # b**x overflows only for b > 1, on a suffix of the ascending nodes.
+    m = n + 1 if f_at(n) < math.inf else _first(lambda i: f_at(i) == math.inf, 0, n)
+    if b > 1.0:  # h'' > 0: h falls, then rises from the first node where h' > 0
+        j = _first(rising, 0, n + 1)
+        runs, ends = [(0, j, False), (j, n + 1, True)], [j]
+    else:
+        # With L = -ln b, h'' has the sign of 2 ln x - L x + 3 ln L, which
+        # peaks at x = 2/L.  If the peak is <= 0, then h' > 0: one rising run.
+        # Otherwise h' changes sign at most once below the first node k
+        # where that expression is >= 0, and at most once from k on.
+        ell = -ln_b
+        if math.log(ell) + 2.0 * math.log(2.0) - 2.0 <= 0.0:
+            runs, ends = [(0, n + 1, True)], []
+        else:
+            ln_l3 = 3.0 * math.log(ell)
+            below = _first(lambda i: x_at(i) >= 2.0 / ell, 0, n + 1)
+            k = _first(
+                lambda i: 2.0 * math.log(x_at(i)) - ell * x_at(i) + ln_l3 >= 0.0, 0, below
+            )
+            j1 = _first(lambda i: not rising(i), 0, k)
+            j2 = _first(rising, k, n + 1)
+            runs = [(0, j1, True), (j1, j2, False), (j2, n + 1, True)]
+            ends = [j1, k, j2]
+
+    anchors = [0, n, *ends]
+    for start, stop, up in runs:
+        if start < stop:
+            far = (lambda i: f_at(i) >= 0.0) if up else (lambda i: f_at(i) <= 0.0)
+            anchors.append(_first(far, start, stop))
+
+    def near(i: int) -> bool:
+        f, _, slack = node(i)
+        return abs(f) <= slack
+
+    # Anchors ascend, and so do both ends of their widened windows.
+    windows: list[tuple[int, int]] = []
+    for a in sorted(anchors):
+        start, stop = max(a - 2, 0), min(a + 1, n)
+        while start > 0 and near(start):
+            start -= 1
+        while stop < n and near(stop):
+            stop += 1
+        if windows and start <= windows[-1][1] + 1:
+            start = windows.pop()[0]
+        windows.append((start, stop))
+    return f_at, windows, n + 1 - m
 
 
 def bisect(spec: Callable[[float], float], bracket: RootBracket, abs_tol: float) -> float:

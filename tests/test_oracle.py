@@ -7,6 +7,8 @@ import sys
 import threading
 
 import pytest
+from hypothesis import HealthCheck, assume, given, seed, settings
+from hypothesis import strategies as st
 
 import expcross.oracle
 from expcross.errors import DomainError
@@ -107,6 +109,9 @@ class TestScan:
             scan_sign_changes(WResidual(1.0), -2.0, 2.0, 1)
         with pytest.raises(DomainError):
             scan_sign_changes(FullGap(1.3), 0.0, 2.0, 100)
+        for b in (1.0, 0.0, -2.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="base must be positive and != 1"):
+                scan_sign_changes(FullGap(b), 1e-9, 50.0, 100)
 
 
 class TestBisect:
@@ -294,8 +299,88 @@ class TestScanBitIdentity:
         assert calls == []
 
 
+# The places where h's runs of monotone nodes meet: the tangent base, e**-e
+# (where h'' and h' vanish together) and e**(-e**2/4) (where h'' first has zeros).
+RUN_EDGES = (math.exp(1.0 / math.e), math.exp(-math.e), math.exp(-math.e**2 / 4.0))
+
+
+class TestScanRuns:
+    """The FullGap scan on each branch of h's run structure, against the per-node rule."""
+
+    @pytest.mark.parametrize("edge", RUN_EDGES)
+    def test_bases_round_each_edge(self, caplog, edge):
+        for k in range(3, 17):
+            for sign in (-1.0, 1.0):
+                b = edge * (1.0 + sign * 10.0**-k)
+                for window in ((1e-9, 50.0, 20000), (0.2, 4.0, 3001), (1e-9, 5.0, 17)):
+                    _assert_scan_matches_per_node(caplog, FullGap(b), *window)
+
+    def test_inflections_but_no_turn(self, caplog):
+        # e**-e < b < e**(-e**2/4): h'' changes sign twice, h' stays positive
+        for b in (0.07, 0.1, 0.13, 0.157):
+            for window in ((1e-9, 50.0, 20000), (0.05, 2.0, 999)):
+                _assert_scan_matches_per_node(caplog, FullGap(b), *window)
+
+    def test_window_starts_past_an_inflection(self, caplog):
+        # b = 0.05: h'' vanishes at x ~ 0.304 and peaks in sign at 2/L ~ 0.668
+        for window in ((0.31, 5.0, 4000), (0.7, 5.0, 4000), (1e-9, 0.3, 4000), (0.31, 0.6, 50)):
+            _assert_scan_matches_per_node(caplog, FullGap(0.05), *window)
+
+    def test_rounding_noise_round_a_multiple_root(self, caplog):
+        # So close to the triple root at 1/e, or the double root at e, the
+        # computed sign of h flips from node to node: the windows must widen
+        # to take in every such node.
+        for b in (RUN_EDGES[1], RUN_EDGES[1] * (1.0 - 1e-12), RUN_EDGES[1] * (1.0 + 1e-9)):
+            for w in (1e-9, 1e-7):
+                assert _assert_scan_matches_per_node(
+                    caplog, FullGap(b), 1.0 / math.e - w, 1.0 / math.e + w, 997
+                )[0] > 100
+        for w in (1e-7, 1e-6):
+            _assert_scan_matches_per_node(caplog, FullGap(TANGENT_BASE), math.e - w, math.e + w, 1001)
+
+    @pytest.mark.parametrize("n", [2, 3, 17])
+    def test_few_panels(self, caplog, n):
+        bases = (1e-300, 0.05, 0.5, 1.0 - 1e-7, 1.0 + 1e-7, 1.3, TANGENT_BASE, 2.0, 1e10, 1e300)
+        for b in bases + RUN_EDGES:
+            for window in ((1e-9, 50.0), (1e-9, 50), (0.25, 1e3), (5e-324, 1e-300), (2.0, 4.0)):
+                _assert_scan_matches_per_node(caplog, FullGap(b), *window, n)
+
+    @seed(2101)
+    @settings(
+        max_examples=60,
+        deadline=None,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        b=st.one_of(
+            st.floats(-300.0, 300.0).map(lambda e: 10.0**e),
+            st.tuples(
+                st.sampled_from(RUN_EDGES + (1.0,)),
+                st.floats(-15.0, -2.0),
+                st.sampled_from((-1.0, 1.0)),
+            ).map(lambda t: t[0] * (1.0 + t[2] * 10.0 ** t[1])),
+        ),
+        lo=st.floats(-12.0, 1.0).map(lambda e: 10.0**e),
+        width=st.floats(-4.0, 3.0).map(lambda e: 10.0**e),
+        n=st.integers(2, 5000),
+    )
+    def test_random_scans(self, caplog, b, lo, width, n):
+        assume(b != 1.0)
+        _assert_scan_matches_per_node(caplog, FullGap(b), lo, lo + width, n)
+
+    @pytest.mark.parametrize("b", [0.05, 1.3, TANGENT_BASE, 1e10, 1.0 + 1e-7, 1.0 - 1e-7])
+    def test_large_scan_takes_few_evaluations(self, monkeypatch, b):
+        calls = []
+        pow_ = math.pow
+        monkeypatch.setattr(math, "pow", lambda x, y: calls.append(y) or pow_(x, y))
+        scan_sign_changes(FullGap(b), 1e-9, 50.0, 400000)
+        assert 0 < len(calls) <= 200
+
+
 class TestLogGridCache:
-    """FullGap keeps the nodes and logs of its last window; results stay bit-identical."""
+    """Scans that once shared a cached window of nodes: int and float hi,
+    interleaved windows and bases, and threads all get the per-node result."""
 
     def test_int_and_float_endpoint_are_distinct_windows(self, caplog):
         # b = 45**(1/45) puts the upper root in the last panel, so hi is
@@ -313,15 +398,6 @@ class TestLogGridCache:
             for b in (0.05, 1.3, 1e10, TANGENT_BASE, 0.8):
                 for window in windows:
                     _assert_scan_matches_per_node(caplog, FullGap(b), *window)
-
-    def test_second_base_on_a_window_reuses_the_logs(self, caplog):
-        grid = expcross.oracle._log_grid
-        scan_sign_changes(FullGap(0.8), 1e-9, 50.0, 20000)
-        before = grid.cache_info()
-        _assert_scan_matches_per_node(caplog, FullGap(1.3), 1e-9, 50.0, 20000)
-        after = grid.cache_info()
-        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
-        assert after.maxsize == 1 and after.currsize == 1
 
     def test_threads_get_the_serial_result(self):
         cases = [

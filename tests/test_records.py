@@ -3,9 +3,8 @@
 The records' contract: field names, order, defaults and repr text as
 before; every attribute read-only; RootBracket validates on every
 construction path, _make and _replace included.  Importing the
-package (or its CLI) loads neither dataclasses, inspect, logging nor
-struct; the oracle imports logging only when a scan has a warning to log,
-and struct on its first scan.
+package (or its CLI) loads neither dataclasses, inspect nor logging; the
+oracle imports logging only when a scan has a warning to log.
 """
 
 import json
@@ -114,17 +113,6 @@ class TestFreshInterpreter:
         heavy = "[m for m in ('dataclasses', 'inspect', 'logging') if m in sys.modules]"
         code = f"import sys\nimport expcross\nprint({heavy})\nimport expcross.cli\nprint({heavy})\n"
         assert _fresh("-c", code).stdout == "[]\n[]\n"
-
-    def test_struct_is_imported_by_the_first_scan(self):
-        code = (
-            "import sys\n"
-            "import expcross\n"
-            "import expcross.cli\n"
-            "print('struct' in sys.modules)\n"
-            "expcross.scan_sign_changes(expcross.FullGap(1.3), 1e-9, 50.0, 100)\n"
-            "print('struct' in sys.modules)\n"
-        )
-        assert _fresh("-c", code).stdout == "False\nTrue\n"
 
     def test_handler_attached_before_the_first_scan_gets_the_skip_record(self):
         code = (
