@@ -55,6 +55,15 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
+    # The invalid-choice text as Python 3.10-3.13.0 word it, so output does
+    # not depend on the patch release: later ones print the value's str in
+    # quotes ('2', not 2) and the choices unquoted (eval, not 'eval').
+    def _check_value(self, action: argparse.Action, value: object) -> None:
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            message = f"invalid choice: {value!r} (choose from {choices})"
+            raise argparse.ArgumentError(action, message)
+
 
 def _fmt(value: object) -> str:
     return repr(value) if isinstance(value, float) else str(value)

@@ -106,12 +106,15 @@ def scan_sign_changes(
     b**x - log(x)/ln(b) with ln(b) taken once (inf where b**x overflows),
     is evaluated at O(log n) nodes and gives the same brackets: h is
     monotone on at most three runs of nodes, their ends found by the sign
-    of h' (and, for b < 1, of h'').  Binary search finds where each run
-    reaches its far sign; the rule above then runs only in windows of
-    nodes round those places, the run ends, and the first and last node.
-    Each window widens while its end node has |f| <= 2**-44 * (b**x +
-    |log_b x|): beyond that, rounding cannot flip the sign of f, so no
-    node left out can start or end a bracket.
+    of h' (and, for b < 1, of h'').  Each run is anchored where it first
+    has its far sign: at its first node if h has that sign there, at its
+    stop if h lacks it at its last node, and otherwise where binary search
+    finds it.  The rule above then runs only in windows of nodes round the
+    anchors and the run ends; the first and last node need none, as each
+    lies in a run that is anchored next to it whenever it can hold a
+    bracket.  Each window widens while its end node has |f| <= 2**-44 *
+    (b**x + |log_b x|): beyond that, rounding cannot flip the sign of f,
+    so no node left out can start or end a bracket.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
         raise DomainError(f"scan interval needs lo < hi, got [{lo!r}, {hi!r}]")
@@ -136,11 +139,11 @@ def scan_sign_changes(
         for i in range(start, stop + 1):
             f_i = f_at(i)
             if f_i == 0.0:
-                brackets.append(RootBracket(lo=x_at(i), hi=x_at(i), f_lo=0.0, f_hi=0.0))
+                brackets.append(RootBracket(x_at(i), x_at(i), 0.0, 0.0))
             elif i < stop and math.isfinite(f_i):
                 f_j = f_at(i + 1)
                 if math.isfinite(f_j) and f_i * f_j < 0.0:
-                    brackets.append(RootBracket(lo=x_at(i), hi=x_at(i + 1), f_lo=f_i, f_hi=f_j))
+                    brackets.append(RootBracket(x_at(i), x_at(i + 1), f_i, f_j))
     if skipped:  # logging takes milliseconds to import; only this rare path needs it
         import logging
 
@@ -168,34 +171,32 @@ def _full_gap_windows(
     if not math.isfinite(b) or b <= 0.0 or b == 1.0:
         raise DomainError(f"base must be positive and != 1, got {b!r}")
     ln_b = math.log(b)
-    nodes: dict[int, tuple[float, float, float]] = {}
-
-    def node(i: int) -> tuple[float, float, float]:
-        """(h, h', rounding slack of h) at node i; h is inf where b**x overflows."""
-        got = nodes.get(i)
-        if got is None:
-            x = x_at(i)
-            try:
-                p = math.pow(b, x)
-            except OverflowError:
-                got = (math.inf, math.inf, 0.0)
-            else:
-                t = math.log(x) / ln_b
-                got = (p - t, ln_b * p - 1.0 / x / ln_b, _SLACK * (p + abs(t)))
-            nodes[i] = got
-        return got
+    hs: dict[int, float] = {}
 
     def f_at(i: int) -> float:
-        return node(i)[0]
+        """h at node i; inf where b**x overflows."""
+        h = hs.get(i)
+        if h is None:
+            x = x_at(i)
+            try:
+                h = math.pow(b, x) - math.log(x) / ln_b
+            except OverflowError:
+                h = math.inf
+            hs[i] = h
+        return h
 
     def rising(i: int) -> bool:
-        return node(i)[1] > 0.0
+        x = x_at(i)
+        try:
+            return ln_b * math.pow(b, x) - 1.0 / x / ln_b > 0.0
+        except OverflowError:
+            return True
 
     # b**x overflows only for b > 1, on a suffix of the ascending nodes.
     m = n + 1 if f_at(n) < math.inf else _first(lambda i: f_at(i) == math.inf, 0, n)
     if b > 1.0:  # h'' > 0: h falls, then rises from the first node where h' > 0
         j = _first(rising, 0, n + 1)
-        runs, ends = [(0, j, False), (j, n + 1, True)], [j]
+        runs, anchors = [(0, j, False), (j, n + 1, True)], [j]
     else:
         # With L = -ln b, h'' has the sign of 2 ln x - L x + 3 ln L, which
         # peaks at x = 2/L.  If the peak is <= 0, then h' > 0: one rising run.
@@ -203,7 +204,7 @@ def _full_gap_windows(
         # where that expression is >= 0, and at most once from k on.
         ell = -ln_b
         if math.log(ell) + 2.0 * math.log(2.0) - 2.0 <= 0.0:
-            runs, ends = [(0, n + 1, True)], []
+            runs, anchors = [(0, n + 1, True)], []
         else:
             ln_l3 = 3.0 * math.log(ell)
             below = _first(lambda i: x_at(i) >= 2.0 / ell, 0, n + 1)
@@ -213,17 +214,25 @@ def _full_gap_windows(
             j1 = _first(lambda i: not rising(i), 0, k)
             j2 = _first(rising, k, n + 1)
             runs = [(0, j1, True), (j1, j2, False), (j2, n + 1, True)]
-            ends = [j1, k, j2]
+            anchors = [j1, k, j2]
 
-    anchors = [0, n, *ends]
+    # Each run's anchor is its first node with h of the far sign, or its stop.
     for start, stop, up in runs:
         if start < stop:
             far = (lambda i: f_at(i) >= 0.0) if up else (lambda i: f_at(i) <= 0.0)
-            anchors.append(_first(far, start, stop))
+            if far(start):
+                anchors.append(start)
+            elif not far(stop - 1):
+                anchors.append(stop)
+            else:
+                anchors.append(_first(far, start + 1, stop - 1))
 
     def near(i: int) -> bool:
-        f, _, slack = node(i)
-        return abs(f) <= slack
+        x = x_at(i)
+        try:
+            return abs(f_at(i)) <= _SLACK * (math.pow(b, x) + abs(math.log(x) / ln_b))
+        except OverflowError:
+            return False
 
     # Anchors ascend, and so do both ends of their widened windows.
     windows: list[tuple[int, int]] = []
@@ -243,7 +252,9 @@ def bisect(spec: Callable[[float], float], bracket: RootBracket, abs_tol: float)
     """Pure interval halving down to width abs_tol; returns the midpoint.
 
     Deterministic and derivative-free by design: the oracle must not share
-    machinery with any Newton-family refinement it is checking.
+    machinery with any Newton-family refinement it is checking.  FullGap is
+    evaluated inline, b**x - log(x)/ln(b) with ln(b) taken once: the same
+    floats as calling it, without a call per halving.
     """
     if not abs_tol > 0.0:
         raise DomainError(f"abs_tol must be positive, got {abs_tol}")
@@ -252,11 +263,20 @@ def bisect(spec: Callable[[float], float], bracket: RootBracket, abs_tol: float)
         return lo
     if f_hi == 0.0:
         return hi
+    gap = isinstance(spec, FullGap)
+    if gap:
+        b, ln_b = spec.b, math.log(spec.b)
     while hi - lo >= abs_tol:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        f_mid = spec(mid)
+        if not gap:
+            f_mid = spec(mid)
+        else:
+            try:
+                f_mid = b**mid - math.log(mid) / ln_b
+            except OverflowError:
+                f_mid = math.inf
         if f_mid == 0.0:
             return mid
         if (f_lo < 0.0) == (f_mid < 0.0):

@@ -11,8 +11,9 @@ from hypothesis import HealthCheck, assume, given, seed, settings
 from hypothesis import strategies as st
 
 import expcross.oracle
+from expcross.compare import default_x_max
 from expcross.errors import DomainError
-from expcross.intersect import TANGENT_BASE
+from expcross.intersect import TANGENT_BASE, diagonal_intersections
 from expcross.oracle import (
     DiagonalGap,
     FullGap,
@@ -150,6 +151,32 @@ class TestBisect:
                 assert bracket.lo <= root <= bracket.hi
                 assert abs(spec(root)) <= abs(bracket.f_lo)
                 assert abs(spec(root)) <= abs(bracket.f_hi)
+
+    # Bases from each band the benchmark draws from: small_base, sub_unit,
+    # near1_below, near1_above, two_point, tangent, above.
+    BAND_BASES = (
+        1e-300, 1e-5, 0.05, 0.1, 0.5, 0.9, 1.0 - 1e-7, 1.0 - 2e-9, 1.0 + 2e-9, 1.0 + 1e-7,
+        1.05, 1.3, 1.44, TANGENT_BASE * (1.0 - 5e-10), TANGENT_BASE * (1.0 + 5e-10), 1.5, 10.0,
+    )
+
+    @pytest.mark.parametrize("abs_tol", [1e-12, 1e-10])
+    def test_full_gap_inline_matches_the_call(self, abs_tol):
+        # bisect evaluates FullGap inline; every midpoint and root must be
+        # the one FullGap.__call__ gives
+        brackets = 0
+        for b in self.BAND_BASES:
+            spec = FullGap(b)
+            x_max = default_x_max(tuple(p.x for p in diagonal_intersections(b).points))
+            for r in scan_sign_changes(spec, 1e-9, x_max, 20000):
+                assert repr(bisect(spec, r, abs_tol)) == repr(bisect(lambda x: spec(x), r, abs_tol)), (b, r)
+                brackets += 1
+        assert brackets > len(self.BAND_BASES)
+        # midpoints where b**x overflows take the inf arm
+        for spec, r in [
+            (FullGap(1e300), RootBracket(1.0, 1000.0, -1.0, math.inf)),
+            (FullGap(3.0), RootBracket(0.5, 0.5, 0.0, 0.0)),
+        ]:
+            assert repr(bisect(spec, r, abs_tol)) == repr(bisect(lambda x: spec(x), r, abs_tol))
 
 
 class TestAllIntersections:
@@ -369,13 +396,44 @@ class TestScanRuns:
         assume(b != 1.0)
         _assert_scan_matches_per_node(caplog, FullGap(b), lo, lo + width, n)
 
-    @pytest.mark.parametrize("b", [0.05, 1.3, TANGENT_BASE, 1e10, 1.0 + 1e-7, 1.0 - 1e-7])
+    @pytest.mark.parametrize("b", [0.05, 1.3, TANGENT_BASE, 2.0, 1e10, 1.0 + 1e-7, 1.0 - 1e-7])
     def test_large_scan_takes_few_evaluations(self, monkeypatch, b):
         calls = []
         pow_ = math.pow
         monkeypatch.setattr(math, "pow", lambda x, y: calls.append(y) or pow_(x, y))
-        scan_sign_changes(FullGap(b), 1e-9, 50.0, 400000)
+        brackets = scan_sign_changes(FullGap(b), 1e-9, 50.0, 400000)
         assert 0 < len(calls) <= 200
+        if b in (TANGENT_BASE, 2.0):
+            # no sign change: the end nodes of both runs settle their anchors
+            assert brackets == [] and len(calls) <= 40
+
+    # (b, lo, hi, n) reaching each outcome of a run's anchor: the far sign
+    # holds at its first node, is never reached, or is found by search.
+    RUN_ANCHOR_CASES = [
+        # b > 1, falling then rising
+        (1.3, 2.0, 50.0, 4000),  # falling: first node; rising: search
+        (2.0, 1e-9, 50.0, 20000),  # falling: never; rising: first node
+        (TANGENT_BASE * (1.0 + 1e-9), 1e-9, 50.0, 20000),  # as for 2.0, with h near 0 at e
+        (1.3, 1e-9, 50.0, 20000),  # search in both
+        (1.3, 3.0, 7.0, 500),  # falling: first node; rising: never
+        # e**(-e**2/4) < b < 1, one rising run
+        (0.5, 1e-9, 50.0, 20000),  # search
+        (0.5, 1.0, 5.0, 1000),  # first node
+        (0.5, 1e-9, 0.5, 1000),  # never
+        # b < e**-e, rising, falling, rising
+        (0.05, 1e-9, 0.6, 400),  # search, search, never
+        (0.05, 0.2, 0.6, 400),  # first node, search, never
+        (0.05, 0.2, 0.3, 400),  # first node, never
+        (0.05, 1e-9, 0.1, 4000),  # never
+        (0.05, 0.5, 5.0, 400),  # falling: first node; rising: search
+        (0.05, 0.25, 0.5, 400),  # falling alone: search
+        (0.05, 0.7, 5.0, 400),  # last rising run alone: first node
+        (0.05, 1e-9, 50.0, 20000),  # search in all three
+    ]
+
+    @pytest.mark.parametrize("b, lo, hi, n", RUN_ANCHOR_CASES)
+    def test_run_anchor_outcomes(self, caplog, b, lo, hi, n):
+        _assert_scan_matches_per_node(caplog, FullGap(b), lo, hi, n)
 
 
 class TestLogGridCache:
