@@ -263,7 +263,8 @@ def bisect(spec: Callable[[float], float], bracket: RootBracket, abs_tol: float)
         return lo
     if f_hi == 0.0:
         return hi
-    gap = isinstance(spec, FullGap)
+    # b <= 0 takes the call, whose log(b) raises at the first evaluation
+    gap = isinstance(spec, FullGap) and spec.b > 0.0
     if gap:
         b, ln_b = spec.b, math.log(spec.b)
     while hi - lo >= abs_tol:

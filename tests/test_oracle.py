@@ -175,6 +175,7 @@ class TestBisect:
         for spec, r in [
             (FullGap(1e300), RootBracket(1.0, 1000.0, -1.0, math.inf)),
             (FullGap(3.0), RootBracket(0.5, 0.5, 0.0, 0.0)),
+            (FullGap(-2.0), RootBracket(1.0, 1.0 + abs_tol / 2.0, -1.0, 1.0)),  # never evaluated
         ]:
             assert repr(bisect(spec, r, abs_tol)) == repr(bisect(lambda x: spec(x), r, abs_tol))
 
