@@ -106,15 +106,13 @@ def scan_sign_changes(
     b**x - log(x)/ln(b) with ln(b) taken once (inf where b**x overflows),
     is evaluated at O(log n) nodes and gives the same brackets: h is
     monotone on at most three runs of nodes, their ends found by the sign
-    of h' (and, for b < 1, of h'').  Each run is anchored where it first
-    has its far sign: at its first node if h has that sign there, at its
-    stop if h lacks it at its last node, and otherwise where binary search
-    finds it.  The rule above then runs only in windows of nodes round the
-    anchors and the run ends; the first and last node need none, as each
-    lies in a run that is anchored next to it whenever it can hold a
-    bracket.  Each window widens while its end node has |f| <= 2**-44 *
-    (b**x + |log_b x|): beyond that, rounding cannot flip the sign of f,
-    so no node left out can start or end a bracket.
+    of h' (and, for b < 1, of h'').  A run's anchor is its first node
+    where h has the far sign, or its stop if none has; its end nodes
+    settle that when they can, binary search otherwise.  The rule above
+    runs only in one window per run, round its anchor (a bracket where
+    two runs meet lies next to one of theirs), widened while its end node
+    has |f| <= 2**-44 * (b**x + |log_b x|): beyond that, rounding cannot
+    flip the sign of f, so no node left out can start or end a bracket.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
         raise DomainError(f"scan interval needs lo < hi, got [{lo!r}, {hi!r}]")
@@ -192,41 +190,6 @@ def _full_gap_windows(
         except OverflowError:
             return True
 
-    # b**x overflows only for b > 1, on a suffix of the ascending nodes.
-    m = n + 1 if f_at(n) < math.inf else _first(lambda i: f_at(i) == math.inf, 0, n)
-    if b > 1.0:  # h'' > 0: h falls, then rises from the first node where h' > 0
-        j = _first(rising, 0, n + 1)
-        runs, anchors = [(0, j, False), (j, n + 1, True)], [j]
-    else:
-        # With L = -ln b, h'' has the sign of 2 ln x - L x + 3 ln L, which
-        # peaks at x = 2/L.  If the peak is <= 0, then h' > 0: one rising run.
-        # Otherwise h' changes sign at most once below the first node k
-        # where that expression is >= 0, and at most once from k on.
-        ell = -ln_b
-        if math.log(ell) + 2.0 * math.log(2.0) - 2.0 <= 0.0:
-            runs, anchors = [(0, n + 1, True)], []
-        else:
-            ln_l3 = 3.0 * math.log(ell)
-            below = _first(lambda i: x_at(i) >= 2.0 / ell, 0, n + 1)
-            k = _first(
-                lambda i: 2.0 * math.log(x_at(i)) - ell * x_at(i) + ln_l3 >= 0.0, 0, below
-            )
-            j1 = _first(lambda i: not rising(i), 0, k)
-            j2 = _first(rising, k, n + 1)
-            runs = [(0, j1, True), (j1, j2, False), (j2, n + 1, True)]
-            anchors = [j1, k, j2]
-
-    # Each run's anchor is its first node with h of the far sign, or its stop.
-    for start, stop, up in runs:
-        if start < stop:
-            far = (lambda i: f_at(i) >= 0.0) if up else (lambda i: f_at(i) <= 0.0)
-            if far(start):
-                anchors.append(start)
-            elif not far(stop - 1):
-                anchors.append(stop)
-            else:
-                anchors.append(_first(far, start + 1, stop - 1))
-
     def near(i: int) -> bool:
         x = x_at(i)
         try:
@@ -234,17 +197,51 @@ def _full_gap_windows(
         except OverflowError:
             return False
 
+    # b**x overflows only for b > 1, on a suffix of the ascending nodes.
+    m = n + 1 if f_at(n) < math.inf else _first(lambda i: f_at(i) == math.inf, 0, n)
+    if b > 1.0:  # h'' > 0: h falls, then rises from the first node where h' > 0
+        j = _first(rising, 0, n + 1)
+        runs = [(0, j, False), (j, n + 1, True)]
+    else:
+        # With L = -ln b, h'' has the sign of 2 ln x - L x + 3 ln L, which
+        # peaks at x = 2/L.  If the peak is <= 0, then h' > 0: one rising run.
+        # Otherwise h' changes sign at most once below the first node k at or
+        # past 2/L or where that expression is >= 0, and at most once from k on.
+        ell = -ln_b
+        if math.log(ell) + 2.0 * math.log(2.0) - 2.0 <= 0.0:
+            runs = [(0, n + 1, True)]
+        else:
+            ln_l3 = 3.0 * math.log(ell)
+
+            def from_k(i: int) -> bool:
+                x = x_at(i)
+                return x >= 2.0 / ell or 2.0 * math.log(x) - ell * x + ln_l3 >= 0.0
+
+            k = _first(from_k, 0, n + 1)
+            j1 = _first(lambda i: not rising(i), 0, k)
+            j2 = _first(rising, k, n + 1)
+            runs = [(0, j1, True), (j1, j2, False), (j2, n + 1, True)]
+
+    # Each run's anchor is its first node with h of the far sign, or its stop.
     # Anchors ascend, and so do both ends of their widened windows.
     windows: list[tuple[int, int]] = []
-    for a in sorted(anchors):
-        start, stop = max(a - 2, 0), min(a + 1, n)
-        while start > 0 and near(start):
-            start -= 1
-        while stop < n and near(stop):
-            stop += 1
-        if windows and start <= windows[-1][1] + 1:
-            start = windows.pop()[0]
-        windows.append((start, stop))
+    for start, stop, up in runs:
+        if start < stop:
+            far = (lambda i: f_at(i) >= 0.0) if up else (lambda i: f_at(i) <= 0.0)
+            if far(start):
+                a = start
+            elif not far(stop - 1):
+                a = stop
+            else:
+                a = _first(far, start + 1, stop - 1)
+            start, stop = max(a - 2, 0), min(a + 1, n)
+            while start > 0 and near(start):
+                start -= 1
+            while stop < n and near(stop):
+                stop += 1
+            if windows and start <= windows[-1][1] + 1:
+                start = windows.pop()[0]
+            windows.append((start, stop))
     return f_at, windows, n + 1 - m
 
 
@@ -293,13 +290,15 @@ def all_intersections_numeric(
     """Every root of b**x = log_b(x) on (0, x_max], at scan resolution.
 
     Scans FullGap(b) from 1e-9 upward, refines each bracket by bisection,
-    and merges refined roots closer than 10*abs_tol (adjacent panels can
-    both bracket one root when a node lands near it).
+    and merges refined roots closer than 10*abs_tol, as only rounding noise
+    in the sign of h near a multiple root brackets one root more than once.
     """
     if not math.isfinite(b) or b <= 0.0 or b == 1.0:
         raise DomainError(f"base must be positive and != 1, got {b!r}")
     if not x_max > 0.0:
         raise DomainError(f"x_max must be positive, got {x_max!r}")
+    if not abs_tol > 0.0:
+        raise DomainError(f"abs_tol must be positive, got {abs_tol}")
 
     x_min = 1e-9
     if x_max <= x_min:

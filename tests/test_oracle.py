@@ -203,6 +203,10 @@ class TestAllIntersections:
             all_intersections_numeric(1.0, 10.0, 100, 1e-10)
         with pytest.raises(DomainError):
             all_intersections_numeric(1.3, -5.0, 100, 1e-10)
+        # 2.0 has no root to bisect: the tolerance is checked up front
+        for abs_tol in (-1.0, math.nan):
+            with pytest.raises(DomainError, match="abs_tol must be positive"):
+                all_intersections_numeric(2.0, 50.0, 100, abs_tol)
 
     def test_resolution_monotonicity(self):
         for b in (0.8, 1.3, TANGENT_BASE - 0.01, TANGENT_BASE + 0.01):
@@ -407,6 +411,9 @@ class TestScanRuns:
         if b in (TANGENT_BASE, 2.0):
             # no sign change: the end nodes of both runs settle their anchors
             assert brackets == [] and len(calls) <= 40
+        if b == 0.05:
+            # three runs, three roots: one window round each run's anchor
+            assert len(brackets) == 3 and len(calls) <= 90
 
     # (b, lo, hi, n) reaching each outcome of a run's anchor: the far sign
     # holds at its first node, is never reached, or is found by search.
@@ -430,6 +437,18 @@ class TestScanRuns:
         (0.05, 0.25, 0.5, 400),  # falling alone: search
         (0.05, 0.7, 5.0, 400),  # last rising run alone: first node
         (0.05, 1e-9, 50.0, 20000),  # search in all three
+        # a bracket on the panel (s - 1, s) where two runs meet lies next to an anchor
+        (1.444, 1e-9, 50.0, 255),  # s = j: the falling run never has h <= 0, anchored at s
+        (1.444, 1e-9, 10.0, 37),  # s = j: the rising run has h >= 0 at s, anchored there
+        # s = j1, then s = j2, j1 < k < j2: the first run anchored at its stop, the last
+        # at its first node
+        (0.0649, 1e-9, 1.0, 20),
+        (0.0659, 0.2, 0.6, 20),  # s = j1, then s = k = j2: the first two runs at their stops
+        (0.0639, 1e-9, 2.0, 20),  # s = j1 = k, then s = j2: the last two at their first nodes
+        (0.06958, 1e-9, 5.0, 41),  # e**-e < b, s = j1 = k = j2: the first run at its stop
+        # b < e**-e, s = j1 = k = j2: h turns twice between nodes s - 1 and s, and the
+        # first run is anchored at s - 1
+        (0.0658, 0.1, 1.0, 22),
     ]
 
     @pytest.mark.parametrize("b, lo, hi, n", RUN_ANCHOR_CASES)
