@@ -109,10 +109,10 @@ def scan_sign_changes(
     of h' (and, for b < 1, of h'').  A run's anchor is its first node
     where h has the far sign, or its stop if none has; its end nodes
     settle that when they can, binary search otherwise.  The rule above
-    runs only in one window per run, round its anchor (a bracket where
-    two runs meet lies next to one of theirs), widened while its end node
-    has |f| <= 2**-44 * (b**x + |log_b x|): beyond that, rounding cannot
-    flip the sign of f, so no node left out can start or end a bracket.
+    runs only in one window per run, round its anchor (a bracket where two
+    runs meet is next to one run's anchor), widened while its end node has
+    |f| <= 2**-44 * (b**x + |log_b x|): beyond that, rounding cannot flip
+    the sign of f, so no node left out can start or end a bracket.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
         raise DomainError(f"scan interval needs lo < hi, got [{lo!r}, {hi!r}]")
